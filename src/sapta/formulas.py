@@ -30,7 +30,6 @@ __all__ = [
     "ast_to_dict",
     "pretty",
     "undet_name",
-    "is_undet_name",
     "schema",
     "SCHEMA_ARITY",
 ]
@@ -260,10 +259,6 @@ def undet_name(predicate: str) -> str:
     judgments valuates it.
     """
     return predicate + UNDET_SUFFIX
-
-
-def is_undet_name(name: str) -> bool:
-    return name.endswith(UNDET_SUFFIX)
 
 
 SCHEMA_ARITY = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 3}

@@ -150,10 +150,36 @@ def tokenize(text: str, *, line: int = 1, column: int = 1, offset: int = 0) -> l
     return out
 
 
+# Deepest nesting the parser accepts: at most this many constructs (`~`,
+# quantifiers, parentheses, arrows) open at once, and at most this many
+# nodes from the root of the tree to any leaf.  The first bounds the
+# parser's own recursion; the second every AST walker (printing, context
+# marking, evaluation), which recurses down the tree.
+MAX_DEPTH = 100
+
+
+def _too_deep(span: SourceSpan | None) -> ParseError:
+    return ParseError(f"formula nested deeper than {MAX_DEPTH} levels", span=span)
+
+
+def _check_height(f: Formula) -> None:
+    """Raise at a node lying more than MAX_DEPTH nodes below the root."""
+    stack = [(f, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise _too_deep(node.span)
+        for child in ("operand", "left", "right", "body"):
+            if hasattr(node, child):
+                stack.append((getattr(node, child), depth + 1))
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # constructs open around the current token
+        self.operators = 0  # operators, quantifiers and parentheses read
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -180,19 +206,29 @@ class _Parser:
             found=found,
         )
 
+    def nested(self, tok: Token, production) -> Formula:
+        """Parse the sub-formula `tok` opens, one nesting level down."""
+        if self.depth == MAX_DEPTH:
+            raise _too_deep(tok.span)
+        self.depth += 1
+        self.operators += 1
+        node = production()
+        self.depth -= 1
+        return node
+
     def formula(self) -> Formula:
         left = self.impl()
         if self.peek().kind == "iff":
-            self.advance()
-            right = self.formula()
+            tok = self.advance()
+            right = self.nested(tok, self.formula)
             return Iff(left, right, _join(left, right))
         return left
 
     def impl(self) -> Formula:
         left = self.or_()
         if self.peek().kind == "implies":
-            self.advance()
-            right = self.impl()
+            tok = self.advance()
+            right = self.nested(tok, self.impl)
             return Implies(left, right, _join(left, right))
         return left
 
@@ -200,6 +236,7 @@ class _Parser:
         node = self.and_()
         while self.peek().kind == "or":
             self.advance()
+            self.operators += 1
             rhs = self.and_()
             node = Or(node, rhs, _join(node, rhs))
         return node
@@ -208,6 +245,7 @@ class _Parser:
         node = self.unary()
         while self.peek().kind == "and":
             self.advance()
+            self.operators += 1
             rhs = self.unary()
             node = And(node, rhs, _join(node, rhs))
         return node
@@ -216,18 +254,18 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "not":
             self.advance()
-            operand = self.unary()
+            operand = self.nested(tok, self.unary)
             return Not(operand, _extend(tok.span, operand))
         if tok.kind in ("forall", "exists"):
             self.advance()
             var = self.expect("ident")
             self.expect("dot")
-            body = self.formula()
+            body = self.nested(tok, self.formula)
             cls = ForAll if tok.kind == "forall" else Exists
             return cls(var.text, body, _extend(tok.span, body))
         if tok.kind == "lparen":
             self.advance()
-            inner = self.formula()
+            inner = self.nested(tok, self.formula)
             self.expect("rparen")
             return inner
         if tok.kind == "ident":
@@ -263,6 +301,8 @@ def _parse_tokens(tokens: list[Token], contexts: Iterable[str], require_closed: 
     f = parser.formula()
     if parser.peek().kind != "eof":
         parser.fail({"eof"})
+    if parser.operators >= MAX_DEPTH:  # fewer cannot build a deeper tree
+        _check_height(f)
     names = frozenset(contexts)
     if names:
         f = mark_contexts(f, names)

@@ -169,9 +169,20 @@ def classify(judgments: Iterable[Judgment], model: Model, predicate: str) -> Pre
     if not by_context:
         return PredicationClass(PredicationTag.DEGENERATE, ())
 
-    for c1, c2 in combinations(sorted(by_context), 2):
-        if by_context[c1] is not by_context[c2] and not model.incompatible(c1, c2):
-            return PredicationClass(PredicationTag.INCONSISTENT, (c1,))
+    # The first compatible pair asserting different values, in lexicographic
+    # pair order, read off the model's packed relation (min * K + max).
+    names = sorted(by_context)
+    values = [by_context[c] for c in names]
+    index = [model._context_index[c] for c in names]
+    k, relation = len(model.contexts), model._incompatible
+    for i, (a, v) in enumerate(zip(index, values)):
+        keys = [
+            a * k + b if a < b else b * k + a
+            for b, w in zip(index[i + 1:], values[i + 1:])
+            if w is not v
+        ]
+        if not relation.issuperset(keys):
+            return PredicationClass(PredicationTag.INCONSISTENT, (names[i],))
 
     values = frozenset(by_context.values())
     witnesses = tuple(

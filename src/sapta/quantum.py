@@ -8,9 +8,31 @@ post-selected pair of states.
 """
 from __future__ import annotations
 
-import numpy as np
+import importlib.util
+import sys
 
 from .errors import BasisMismatch, DimensionMismatch, OrthogonalSelection
+
+
+def _lazy_import(name: str):
+    """Module `name`, executed on its first attribute access (PEP 451).
+
+    numpy is most of the package's import time and only the scenario
+    generators use it, so commands that never touch a state vector never
+    load it.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 __all__ = [
     "TOL",

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import BadCuts
 from .predication import (
     Judgment,
@@ -31,6 +29,7 @@ from .quantum import (
     complex_to_json,
     fringe_visibility,
     inner_product,
+    np,
     tensor_product,
     weak_value,
 )

@@ -25,7 +25,7 @@ from .formulas import (
     Or,
     PredicateApp,
 )
-from .trivalent import Tv3, conj3, disj3, iff3, impl3, neg3
+from .trivalent import Tv3
 
 __all__ = [
     "ContextDef",
@@ -51,8 +51,30 @@ class ContextDef:
         object.__setattr__(self, "extension", frozenset(extension))
 
 
+# Truth values are coded by rank on the chain F < U < T, so conjunction and
+# disjunction are min and max, and negation is 2 - x.
+_TV = (Tv3.FALSE, Tv3.UNDET, Tv3.TRUE)
+
+
+def _index_of(index: dict, name) -> int | None:
+    """Position of a declared name; None for an undeclared or unhashable one."""
+    try:
+        return index.get(name)
+    except TypeError:
+        return None
+
+
 class Model:
-    """Immutable finite structure formulas are evaluated against."""
+    """Immutable finite structure formulas are evaluated against.
+
+    Names are resolved to indices once, on construction.  The totalized
+    valuation is one bytearray of rank codes laid out
+    [context][predicate][entity], so each (context, predicate) column is
+    contiguous; extensions are sets of entity indices, and the
+    incompatibility relation is a set of packed context-index pairs
+    ``min * K + max``.  Every structure is proportional to the input or to
+    the N·K·P cells of the valuation.
+    """
 
     def __init__(
         self,
@@ -64,24 +86,26 @@ class Model:
         background: str | None = None,
     ):
         self.domain: tuple[str, ...] = tuple(domain)
-        if len(set(self.domain)) != len(self.domain):
+        self._entity_index = {e: i for i, e in enumerate(self.domain)}
+        if len(self._entity_index) != len(self.domain):
             raise ModelError("duplicate entity names in domain")
         ctx_list = list(contexts)
-        names = [c.name for c in ctx_list]
-        if len(set(names)) != len(names):
+        self._context_index = {c.name: i for i, c in enumerate(ctx_list)}
+        if len(self._context_index) != len(ctx_list):
             raise ModelError("duplicate context names")
         self.contexts: dict[str, ContextDef] = {c.name: c for c in ctx_list}
         for c in ctx_list:
-            stray = c.extension - set(self.domain)
+            stray = c.extension.difference(self._entity_index)
             if stray:
                 raise ModelError(
                     f"context {c.name!r} extension mentions undeclared entities {sorted(stray)}"
                 )
+        self._extensions = [{self._entity_index[e] for e in c.extension} for c in ctx_list]
         self.predicates: tuple[str, ...] = tuple(predicates)
-        self._predicate_set = frozenset(self.predicates)
-        if len(self._predicate_set) != len(self.predicates):
+        self._predicate_index = {p: i for i, p in enumerate(self.predicates)}
+        if len(self._predicate_index) != len(self.predicates):
             raise ModelError("duplicate predicate names")
-        overlap = set(self.predicates) & set(self.contexts)
+        overlap = self._predicate_index.keys() & self.contexts.keys()
         if overlap:
             raise ModelError(f"names used as both context and predicate: {sorted(overlap)}")
 
@@ -96,36 +120,41 @@ class Model:
             raise ModelError("background given but no contexts declared")
         self.background = background
 
-        self._incompatible: set[frozenset[str]] = set()
+        k = len(ctx_list)
+        contexts_at = self._context_index
+        self._incompatible: set[int] = set()
         for a, b in incompatible:
-            if a not in self.contexts or b not in self.contexts:
+            if a not in contexts_at or b not in contexts_at:
                 raise ModelError(f"incompatible pair ({a!r}, {b!r}) names an undeclared context")
             if a == b:
                 raise ModelError(f"context {a!r} cannot be incompatible with itself")
-            self._incompatible.add(frozenset({a, b}))
+            i, j = contexts_at[a], contexts_at[b]
+            self._incompatible.add(i * k + j if i < j else j * k + i)
 
         # Totalize the valuation; unlisted cells default to U.  The count of
         # defaulted cells is kept for output metadata.
         given = dict(valuation or {})
-        for (c, e, p) in given:
-            if c not in self.contexts:
+        cells = bytearray([_TV.index(Tv3.UNDET)]) * (k * len(self.predicates) * len(self.domain))
+        for (c, e, p), v in given.items():
+            ci = contexts_at.get(c)
+            if ci is None:
                 raise ModelError(f"valuation names undeclared context {c!r}")
-            if e not in self.domain:
+            ei = self._entity_index.get(e)
+            if ei is None:
                 raise ModelError(f"valuation names undeclared entity {e!r}")
-            if p not in self.predicates:
+            pi = self._predicate_index.get(p)
+            if pi is None:
                 raise ModelError(f"valuation names undeclared predicate {p!r}")
-        self._valuation: dict[tuple[str, str, str], Tv3] = {}
-        defaulted = 0
-        for c in self.contexts:
-            for e in self.domain:
-                for p in self.predicates:
-                    key = (c, e, p)
-                    if key in given:
-                        self._valuation[key] = given[key]
-                    else:
-                        self._valuation[key] = Tv3.UNDET
-                        defaulted += 1
-        self.defaulted_valuations = defaulted
+            try:
+                cells[self._column(ci, pi) + ei] = _TV.index(v)
+            except ValueError:
+                raise ModelError(f"valuation of {(c, e, p)!r} is not a truth value: {v!r}") from None
+        self._cells = cells
+        self.defaulted_valuations = len(cells) - len(given)
+
+    def _column(self, ci: int, pi: int) -> int:
+        """Offset of the (context, predicate) column in the valuation cells."""
+        return (ci * len(self.predicates) + pi) * len(self.domain)
 
     # -- lookups ------------------------------------------------------------
 
@@ -133,7 +162,7 @@ class Model:
         return name in self.contexts
 
     def is_predicate(self, name: str) -> bool:
-        return name in self._predicate_set
+        return name in self._predicate_index
 
     def extension(self, context: str) -> frozenset[str]:
         try:
@@ -144,11 +173,13 @@ class Model:
     def value(self, context: str, entity: str, predicate: str) -> Tv3:
         if context not in self.contexts:
             raise UndeclaredName(f"undeclared context {context!r}")
-        if entity not in self.domain:
+        ei = _index_of(self._entity_index, entity)
+        if ei is None:
             raise UndeclaredName(f"undeclared entity {entity!r}")
-        if predicate not in self._predicate_set:
+        if predicate not in self._predicate_index:
             raise UndeclaredName(f"undeclared predicate {predicate!r}")
-        return self._valuation[(context, entity, predicate)]
+        column = self._column(self._context_index[context], self._predicate_index[predicate])
+        return _TV[self._cells[column + ei]]
 
     def incompatible(self, c1: str, c2: str) -> bool:
         """Whether the unordered context pair is marked mutually incompatible.
@@ -158,9 +189,8 @@ class Model:
         for c in (c1, c2):
             if c not in self.contexts:
                 raise UndeclaredName(f"undeclared context {c!r}")
-        if c1 == c2:
-            return False
-        return frozenset({c1, c2}) in self._incompatible
+        i, j = sorted((self._context_index[c1], self._context_index[c2]))
+        return i != j and i * len(self.contexts) + j in self._incompatible
 
     # -- serialization --------------------------------------------------------
 
@@ -170,35 +200,49 @@ class Model:
 
         Unlisted valuation entries default to "U"; the number of defaulted
         cells is available as ``defaulted_valuations`` for output metadata.
+        Every name list must be a JSON array of strings, and every
+        incompatible entry an array of two context names.
         """
         try:
-            domain = list(data["domain"])
-            ctx_objs = [ContextDef(c["name"], c.get("extension", [])) for c in data["contexts"]]
-            predicates = list(data["predicates"])
+            domain = _names(data["domain"], "'domain'")
+            ctx_objs = []
+            for c in _array(data["contexts"], "'contexts'"):
+                name = _name(c["name"], "a context name")
+                extension = _names(c.get("extension", []), f"the extension of {name!r}")
+                ctx_objs.append(ContextDef(name, extension))
+            predicates = _names(data["predicates"], "'predicates'")
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed model object: {exc}") from None
         valuation = {}
-        for row in data.get("valuation", []):
+        for row in _array(data.get("valuation", []), "'valuation'"):
             try:
                 key = (row["context"], row["entity"], row["predicate"])
                 valuation[key] = Tv3.from_str(row["value"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelError(f"malformed valuation row {row!r}: {exc}") from None
-        incompatible = [tuple(pair) for pair in data.get("incompatible", [])]
+        incompatible = _array(data.get("incompatible", []), "'incompatible'")
         for pair in incompatible:
-            if len(pair) != 2:
-                raise ModelError(f"incompatible entry must be a pair, got {list(pair)!r}")
-        return cls(
-            domain,
-            ctx_objs,
-            predicates,
-            valuation,
-            incompatible,
-            data.get("background"),
-        )
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and isinstance(pair[0], str) and isinstance(pair[1], str)):
+                raise ModelError(f"incompatible entry must be a pair of context names, got {pair!r}")
+        background = data.get("background")
+        if background is not None:
+            _name(background, "'background'")
+        return cls(domain, ctx_objs, predicates, valuation, incompatible, background)
 
     def to_json(self) -> dict:
         """Emit the JSON object form with a fully explicit valuation."""
+        entities = sorted(self._entity_index.items())
+        predicates = sorted(self._predicate_index.items())
+        valuation = []
+        for c, ci in sorted(self._context_index.items()):
+            for e, ei in entities:
+                for p, pi in predicates:
+                    code = self._cells[self._column(ci, pi) + ei]
+                    valuation.append(
+                        {"context": c, "entity": e, "predicate": p, "value": _TV[code].value}
+                    )
+        names, k = list(self.contexts), len(self.contexts)
         return {
             "domain": list(self.domain),
             "background": self.background,
@@ -207,12 +251,29 @@ class Model:
                 for c in self.contexts.values()
             ],
             "predicates": list(self.predicates),
-            "valuation": [
-                {"context": c, "entity": e, "predicate": p, "value": v.value}
-                for (c, e, p), v in sorted(self._valuation.items())
-            ],
-            "incompatible": sorted(sorted(pair) for pair in self._incompatible),
+            "valuation": valuation,
+            "incompatible": sorted(
+                sorted((names[key // k], names[key % k])) for key in self._incompatible
+            ),
         }
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ModelError(f"{what} must be an array, got {type(value).__name__}")
+    return value
+
+
+def _name(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ModelError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _names(value, what: str) -> list[str]:
+    for name in _array(value, what):
+        _name(name, f"every entry of {what}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -259,62 +320,124 @@ def evaluate(
     declared incompatibility relation — mutual exclusivity as a physical fact
     about the arrangements — while ``"extensional"`` evaluates the clause
     literally from the guard extensions.
+
+    The formula is compiled once, with every name resolved, into closures
+    over the entity indices bound by its quantifiers, so evaluation takes
+    O(|f|·N^depth) cell reads.  A bad name raises while compiling, at the
+    first offending node in evaluation order; nodes evaluation never reaches
+    (the body of a quantifier over an empty domain, the atoms of a
+    relational incompatibility clause) never raise.
     """
     if incompat_mode not in ("relational", "extensional"):
         raise ValueError(f"incompat_mode must be 'relational' or 'extensional', got {incompat_mode!r}")
-    return _eval(f, model, dict(env or {}), None, incompat_mode)
+    compiler = _Compiler(model, dict(env or {}), incompat_mode == "relational")
+    run = compiler.compile(f, {}, None)
+    return _TV[run([0] * compiler.slots)]
 
 
-def _eval(f: Formula, m: Model, env: dict[str, str], ctx: str | None, mode: str) -> Tv3:
-    if isinstance(f, (PredicateApp, ContextGuard)):
+def _const(code: int):
+    return lambda env: code
+
+
+class _Compiler:
+    """Compiles a formula against one model into a closure ``run(env) -> code``.
+
+    ``env`` is a list holding, per enclosing quantifier, the index of the
+    entity its variable is bound to.
+    """
+
+    def __init__(self, model: Model, env: dict, relational: bool):
+        self.model = model
+        self.env = env
+        self.relational = relational
+        self.slots = 0
+
+    def compile(self, f: Formula, scope: dict[str, int], ctx: str | None):
+        """`scope` maps bound variables to env slots; `ctx` is the context of
+        the innermost enclosing guard."""
+        m = self.model
+        if isinstance(f, (PredicateApp, ContextGuard)):
+            return self.atom(f, scope, ctx)
+        if isinstance(f, Not):
+            if self.relational:
+                pair = _incompat_pattern(m, f)
+                if pair is not None:
+                    return _const(2 if m.incompatible(*pair) else 0)
+            a = self.compile(f.operand, scope, ctx)
+            return lambda env: 2 - a(env)
+        if isinstance(f, Implies):
+            guard = _guard_context(m, f.left)
+            a = self.compile(f.left, scope, ctx)
+            # Innermost guard wins: the consequent is read in the guard's context.
+            b = self.compile(f.right, scope, guard or ctx)
+            return lambda env: max(2 - a(env), b(env))
+        if isinstance(f, (And, Or, Iff)):
+            a = self.compile(f.left, scope, ctx)
+            b = self.compile(f.right, scope, ctx)
+            if isinstance(f, And):
+                return lambda env: min(a(env), b(env))
+            if isinstance(f, Or):
+                return lambda env: max(a(env), b(env))
+
+            def iff(env):
+                x, y = a(env), b(env)
+                return min(max(2 - x, y), max(2 - y, x))
+
+            return iff
+        if isinstance(f, (ForAll, Exists)):
+            forall = isinstance(f, ForAll)
+            unit = 2 if forall else 0
+            if not m.domain:
+                return _const(unit)
+            # Past every slot in scope, so a variable this one shadows keeps its own.
+            slot = max(scope.values(), default=-1) + 1
+            self.slots = max(self.slots, slot + 1)
+            body = self.compile(f.body, {**scope, f.var: slot}, ctx)
+            pick, absorbing, domain = (min if forall else max), 2 - unit, range(len(m.domain))
+
+            def fold(env):
+                out = unit
+                for e in domain:
+                    env[slot] = e
+                    out = pick(out, body(env))
+                    if out == absorbing:
+                        break
+                return out
+
+            return fold
+        raise TypeError(f"not a formula node: {f!r}")
+
+    def atom(self, f: PredicateApp | ContextGuard, scope: dict[str, int], ctx: str | None):
+        m = self.model
         name = f.context if isinstance(f, ContextGuard) else f.name
-        if f.var not in env:
-            raise UnboundVariable(f.var, getattr(f, "span", None))
-        entity = env[f.var]
-        if entity not in m.domain:
-            raise UndeclaredName(f"undeclared entity {entity!r}")
-        if m.is_context(name):
-            return Tv3.from_bool(entity in m.extension(name))
+        slot = scope.get(f.var)
+        if slot is None:
+            if f.var not in self.env:
+                raise UnboundVariable(f.var, getattr(f, "span", None))
+            entity = self.env[f.var]
+            ei = _index_of(m._entity_index, entity)
+            if ei is None:
+                raise UndeclaredName(f"undeclared entity {entity!r}")
+        ci = m._context_index.get(name)
+        if ci is not None:
+            extension = m._extensions[ci]
+            if slot is None:
+                return _const(2 if ei in extension else 0)
+            return lambda env: 2 if env[slot] in extension else 0
         if isinstance(f, ContextGuard):
             raise UndeclaredName(f"undeclared context {name!r}")
-        if not m.is_predicate(name):
+        pi = m._predicate_index.get(name)
+        if pi is None:
             raise UndeclaredName(f"undeclared predicate {name!r}")
         column = ctx or m.background
         if column is None:
             raise UndeclaredName(
                 f"predicate {name!r} used outside any guard and the model declares no background context"
             )
-        return m.value(column, entity, name)
-    if isinstance(f, Not):
-        if mode == "relational":
-            pair = _incompat_pattern(m, f)
-            if pair is not None:
-                return Tv3.from_bool(m.incompatible(*pair))
-        return neg3(_eval(f.operand, m, env, ctx, mode))
-    if isinstance(f, And):
-        return conj3(_eval(f.left, m, env, ctx, mode), _eval(f.right, m, env, ctx, mode))
-    if isinstance(f, Or):
-        return disj3(_eval(f.left, m, env, ctx, mode), _eval(f.right, m, env, ctx, mode))
-    if isinstance(f, Iff):
-        return iff3(_eval(f.left, m, env, ctx, mode), _eval(f.right, m, env, ctx, mode))
-    if isinstance(f, Implies):
-        guard_ctx = _guard_context(m, f.left)
-        antecedent = _eval(f.left, m, env, ctx, mode)
-        # Innermost guard wins: the consequent is read in the guard's context.
-        consequent = _eval(f.right, m, env, guard_ctx or ctx, mode)
-        return impl3(antecedent, consequent)
-    if isinstance(f, ForAll):
-        values = (_eval(f.body, m, {**env, f.var: e}, ctx, mode) for e in m.domain)
-        out = Tv3.TRUE
-        for v in values:
-            out = conj3(out, v)
-        return out
-    if isinstance(f, Exists):
-        out = Tv3.FALSE
-        for e in m.domain:
-            out = disj3(out, _eval(f.body, m, {**env, f.var: e}, ctx, mode))
-        return out
-    raise TypeError(f"not a formula node: {f!r}")
+        cells, base = m._cells, m._column(m._context_index[column], pi)
+        if slot is None:
+            return _const(cells[base + ei])
+        return lambda env: cells[base + env[slot]]
 
 
 def check_incompatibility(

@@ -42,8 +42,8 @@ class Tv3(Enum):
     @classmethod
     def from_str(cls, text: str) -> "Tv3":
         try:
-            return cls(text)
-        except ValueError:
+            return _BY_TEXT[text]
+        except (KeyError, TypeError):
             raise ValueError(
                 f"not a truth value: {text!r} (expected 'T', 'F' or 'U')"
             ) from None
@@ -52,6 +52,9 @@ class Tv3(Enum):
     def from_bool(cls, flag: bool) -> "Tv3":
         return cls.TRUE if flag else cls.FALSE
 
+
+# Enum's own value lookup is several times slower than a dict's.
+_BY_TEXT = {v.value: v for v in Tv3}
 
 # F < U < T turns conjunction into a meet and disjunction into a join.
 _RANK = {Tv3.FALSE: 0, Tv3.UNDET: 1, Tv3.TRUE: 2}

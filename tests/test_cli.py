@@ -273,3 +273,41 @@ class _FakeStdin:
 
     def read(self):
         return self._text
+
+
+def test_import_does_not_run_numpy():
+    # Only scenario and corpus need numpy; importing the CLI must not load it.
+    code = (
+        "import sys, sapta.cli\n"
+        "print(sorted(m for m in ('numpy._core', 'numpy.core') if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("domain", "cat"),
+    ("predicates", "alive"),
+    ("incompatible", ["ab"]),
+])
+def test_eval_rejects_wrongly_typed_model_fields(capsys, tmp_path, field, bad):
+    data = dict(CAT_MODEL, **{field: bad})
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    formulas = tmp_path / "f.lgc"
+    formulas.write_text("forall x. (box_open(x) -> alive(x))\n")
+    code, out, _ = run_cli(capsys, "eval", str(formulas), "--model", str(model))
+    assert code == EX_ERROR
+    assert json.loads(out)["error"]["kind"] == "ModelError"
+
+
+@pytest.mark.parametrize("text", ["~" * 5000 + "p(x)", "(" * 3000 + "p(x)" + ")" * 3000])
+def test_deep_nesting_is_a_parse_error(capsys, tmp_path, text):
+    src = tmp_path / "deep.lgc"
+    src.write_text(text + "\n")
+    code, out, err = run_cli(capsys, "parse", str(src))
+    assert code == EX_ERROR
+    payload = json.loads(out)["error"]
+    assert payload["kind"] == "ParseError"
+    assert payload["span"]["line"] == 1
+    assert "nested deeper" in err

@@ -19,7 +19,7 @@ from sapta.formulas import (
     PredicateApp,
     pretty,
 )
-from sapta.parser import parse, parse_formula_file
+from sapta.parser import MAX_DEPTH, parse, parse_formula_file
 
 
 def P(name, var="x"):
@@ -106,6 +106,28 @@ def test_chains_left_associative():
 def test_quantifier_extends_maximally_right():
     got = parse("a(x) & forall y. b(y) & c(x)")
     assert got == And(P("a"), ForAll("y", And(P("b", "y"), P("c"))))
+
+
+def test_nesting_depth_is_bounded():
+    # At most MAX_DEPTH constructs open at once...
+    fits = "(" * MAX_DEPTH + "p(x)" + ")" * MAX_DEPTH
+    assert parse(fits) == P("p")
+    with pytest.raises(ParseError, match="nested deeper") as exc:
+        parse("(" + fits + ")")
+    assert exc.value.span.start == MAX_DEPTH  # the first parenthesis too many
+    # ...and at most MAX_DEPTH nodes from the root of the tree to a leaf.
+    for opener in ("~", "forall x. ", "p(x) -> "):
+        fits = opener * (MAX_DEPTH - 1) + "p(x)"
+        assert parse(pretty(parse(fits))) == parse(fits)
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(opener + fits)
+    # Left-associative chains build deep trees without deep recursion.
+    assert parse(" & ".join(["p(x)"] * MAX_DEPTH))
+    with pytest.raises(ParseError, match="nested deeper") as exc:
+        parse(" | ".join(["p(x)"] * (MAX_DEPTH + 1)))
+    assert exc.value.span is not None
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("~" * 60 + "(" + " & ".join(["p(x)"] * 60) + ")")
 
 
 def test_trailing_tokens_rejected():

@@ -2,7 +2,9 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from sapta.errors import ModelError, UndeclaredName
 from sapta.formulas import schema, undet_name
@@ -166,6 +168,39 @@ def test_classify_invariant_under_context_renaming():
     after = classify(renamed_js, renamed_m, "p")
     assert after.tag is before.tag
     assert after.contexts_used == tuple(renaming[c] for c in before.contexts_used)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_classify_matches_pairwise_scan(data):
+    # Contexts are declared in random order, so the model's context indices
+    # and the lexicographic order of names disagree.
+    names = data.draw(st.permutations("abcde"))[: data.draw(st.integers(1, 5))]
+    pairs = list(itertools.combinations(names, 2))
+    related = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    m = Model(["e"], [ContextDef(c, {"e"}) for c in names], ["p"],
+              incompatible=sorted(related), background=names[0])
+    judgments = data.draw(st.lists(st.builds(J, st.sampled_from(names), st.sampled_from((T, F, U))),
+                                   max_size=6))
+
+    def reference():
+        by_context = {}
+        for j in judgments:
+            if by_context.setdefault(j.context, j.value) is not j.value:
+                return PredicationClass(PredicationTag.INCONSISTENT, (j.context,))
+        if not by_context:
+            return PredicationClass(PredicationTag.DEGENERATE, ())
+        unordered = {frozenset(pair) for pair in related}
+        for c1, c2 in itertools.combinations(sorted(by_context), 2):
+            if by_context[c1] is not by_context[c2] and frozenset({c1, c2}) not in unordered:
+                return PredicationClass(PredicationTag.INCONSISTENT, (c1,))
+        values = set(by_context.values())
+        witnesses = tuple(
+            min(c for c, v in by_context.items() if v is value) for value in (T, F, U) if value in values
+        )
+        return PredicationClass(tag_for_values(values), witnesses)
+
+    assert classify(judgments, m, "p") == reference()
 
 
 # -- schema round-trip ---------------------------------------------------------

@@ -109,6 +109,57 @@ def test_from_json_reports_defaults():
     assert m.value("c", "a", "q") is U
 
 
+def test_to_json_sorts_names_and_pairs():
+    m = Model(
+        domain=["b", "a"],
+        contexts=[ContextDef("z", {"b", "a"}), ContextDef("y", {"b"})],
+        predicates=["q"],
+        valuation={("z", "b", "q"): T, ("y", "a", "q"): F},
+        incompatible=[("z", "y")],
+        background="z",
+    )
+    cell = lambda c, e, v: {"context": c, "entity": e, "predicate": "q", "value": v}
+    assert m.to_json() == {
+        "domain": ["b", "a"],
+        "background": "z",
+        "contexts": [{"name": "z", "extension": ["a", "b"]}, {"name": "y", "extension": ["b"]}],
+        "predicates": ["q"],
+        "valuation": [cell("y", "a", "F"), cell("y", "b", "U"), cell("z", "a", "U"),
+                      cell("z", "b", "T")],
+        "incompatible": [["y", "z"]],
+    }
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("domain", "ab", "'domain' must be an array"),
+    ("domain", ["a", 1], "every entry of 'domain' must be a string"),
+    ("predicates", "pq", "'predicates' must be an array"),
+    ("contexts", "c", "'contexts' must be an array"),
+    ("contexts", [{"name": 3}, {"name": "d"}], "a context name must be a string"),
+    ("contexts", [{"name": "c", "extension": "a"}, {"name": "d"}],
+     "the extension of 'c' must be an array"),
+    ("incompatible", ["ab"], "incompatible entry must be a pair"),
+    ("incompatible", [["c", "d", "c"]], "incompatible entry must be a pair"),
+    ("incompatible", [["c", ["d"]]], "incompatible entry must be a pair"),
+    ("incompatible", {"c": "d"}, "'incompatible' must be an array"),
+    ("valuation", 5, "'valuation' must be an array"),
+    ("background", ["c"], "'background' must be a string"),
+])
+def test_from_json_rejects_wrongly_typed_fields(field, bad, message):
+    data = {
+        "domain": ["a", "b"],
+        "background": "c",
+        "contexts": [{"name": "c", "extension": ["a"]}, {"name": "d"}],
+        "predicates": ["p"],
+        "valuation": [],
+        "incompatible": [["c", "d"]],
+    }
+    Model.from_json(data)
+    data[field] = bad
+    with pytest.raises(ModelError, match=message):
+        Model.from_json(data)
+
+
 def test_from_json_malformed():
     with pytest.raises(ModelError):
         Model.from_json({"domain": ["a"]})
@@ -230,6 +281,31 @@ def test_evaluation_errors():
         evaluate(PredicateApp("p", "x"), m)
     with pytest.raises(UndeclaredName):
         evaluate(PredicateApp("p", "x"), m, {"x": "zz"})
+    # The first bad node in evaluation order raises, left before right.
+    bad = And(PredicateApp("p", "y"), PredicateApp("nope", "x"))
+    with pytest.raises(UnboundVariable, match="'y'"):
+        evaluate(bad, m, {"x": "a"})
+    with pytest.raises(UndeclaredName, match="undeclared predicate 'nope'"):
+        evaluate(ForAll("y", bad), m, {"x": "a"})
+    # A quantifier over an empty domain never reaches its body.
+    empty = Model(domain=[], contexts=[ContextDef("c", set())], predicates=["p"], background="c")
+    for body in (PredicateApp("nope", "x"), ContextGuard("nope", "x"), PredicateApp("p", "y")):
+        assert evaluate(ForAll("x", body), empty) is T
+        assert evaluate(Exists("x", body), empty) is F
+    with pytest.raises(UndeclaredName, match="undeclared entity 'a'"):
+        evaluate(And(ForAll("x", PredicateApp("p", "x")), PredicateApp("p", "x")), empty,
+                 {"x": "a"})
+    # Relational mode reads an incompatibility clause off the relation and
+    # never reads its atoms; extensional mode reads them.
+    clause = Not(Iff(ContextGuard("c1", "y"), ContextGuard("c2", "y")))
+    assert evaluate(clause, m) is T
+    with pytest.raises(UnboundVariable, match="'y'"):
+        evaluate(clause, m, incompat_mode="extensional")
+    stray = Not(Iff(ContextGuard("zz", "y"), ContextGuard("c1", "y")))
+    with pytest.raises(UndeclaredName, match="undeclared context 'zz'"):
+        evaluate(stray, m)
+    with pytest.raises(ValueError, match="incompat_mode"):
+        evaluate(clause, m, incompat_mode="modal")
 
 
 def test_zero_context_model_rejects_guards():
