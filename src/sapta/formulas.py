@@ -9,7 +9,7 @@ is normally introduced by :func:`schema` or by ``parse(..., contexts=...)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ArityMismatch, DuplicateContext
 
@@ -35,9 +35,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Byte range plus 1-based line/column of a token or node."""
+class SourceSpan(NamedTuple):
+    """Byte range plus 1-based line/column of a token or node.
+
+    A named tuple rather than a dataclass: the lexer builds one per token,
+    and a tuple is about three times cheaper to construct.
+    """
 
     start: int
     end: int
@@ -59,14 +62,14 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredicateApp(Formula):
     name: str
     var: str
     span: SourceSpan | None = _span()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextGuard(Formula):
     """A unary atom whose name denotes a context rather than a predicate."""
 
@@ -75,48 +78,48 @@ class ContextGuard(Formula):
     span: SourceSpan | None = _span()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     operand: Formula
     span: SourceSpan | None = _span()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
     span: SourceSpan | None = _span()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
     span: SourceSpan | None = _span()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
     span: SourceSpan | None = _span()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
     span: SourceSpan | None = _span()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForAll(Formula):
     var: str
     body: Formula
     span: SourceSpan | None = _span()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(Formula):
     var: str
     body: Formula

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError, UnboundVariable
 from .formulas import (
@@ -38,20 +39,24 @@ from .formulas import (
 __all__ = ["parse", "parse_formula_file", "NamedFormula", "tokenize", "Token"]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     span: SourceSpan
 
 
-_SINGLE = {
+# Token kind per lexeme; any other identifier is an "ident".
+_KIND = {
+    "<->": "iff",
+    "->": "implies",
     "~": "not",
     "&": "and",
     "|": "or",
     "(": "lparen",
     ")": "rparen",
     ".": "dot",
+    "forall": "forall",
+    "exists": "exists",
     "¬": "not",
     "∧": "and",
     "∨": "or",
@@ -60,9 +65,15 @@ _SINGLE = {
     "∀": "forall",
     "∃": "exists",
 }
-_KEYWORDS = {"forall", "exists"}
-_IDENT_START = re.compile(r"[A-Za-z_]")
-_IDENT_CONT = re.compile(r"[A-Za-z0-9_]")
+
+# One match per lexeme: the whitespace before it (newlines excepted), then
+# an identifier or operator, a newline, a comment, an unexpected character,
+# or the end of the text.  Each alternative starts with a different class of
+# character, so no match backtracks.
+_LEXEME = re.compile(
+    r"([^\S\n]*)"
+    r"(?:([A-Za-z_][A-Za-z0-9_]*|<->|->|[~&|().¬∧∨→↔∀∃])|(\n)|(#[^\n]*)|(\S)|\Z)"
+)
 
 _DESCRIPTION = {
     "not": "'~'",
@@ -82,72 +93,45 @@ _DESCRIPTION = {
 
 def tokenize(text: str, *, line: int = 1, column: int = 1, offset: int = 0) -> list[Token]:
     """Lex formula text into tokens, tracking byte offsets and line/column."""
+    # Tokens are built with tuple.__new__, which skips the Python-level
+    # __new__ of the named tuples; there is one Token and one SourceSpan per
+    # token, and this halves the lexer's time.
+    new = tuple.__new__
+    kind_of = _KIND.get
     out: list[Token] = []
+    append = out.append
+    ln = line
+    origin = -column  # column of character i on the current line is i - origin
     i = 0
-    byte = offset
-    ln, col = line, column
-    n = len(text)
-
-    def span_at(start_byte: int, nbytes: int, sl: int, sc: int) -> SourceSpan:
-        return SourceSpan(start_byte, start_byte + nbytes, sl, sc)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            byte += 1
-            ln += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            byte += len(ch.encode("utf-8"))
-            col += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                byte += len(text[i].encode("utf-8"))
-                i += 1
-                col += 1
-            continue
-        if text.startswith("<->", i):
-            out.append(Token("iff", "<->", span_at(byte, 3, ln, col)))
-            i += 3
-            byte += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            out.append(Token("implies", "->", span_at(byte, 2, ln, col)))
-            i += 2
-            byte += 2
-            col += 2
-            continue
-        if ch in _SINGLE:
-            nbytes = len(ch.encode("utf-8"))
-            out.append(Token(_SINGLE[ch], ch, span_at(byte, nbytes, ln, col)))
-            i += 1
-            byte += nbytes
-            col += 1
-            continue
-        if _IDENT_START.match(ch):
-            start_byte, sl, sc = byte, ln, col
-            j = i
-            while j < n and _IDENT_CONT.match(text[j]):
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "ident"
-            out.append(Token(kind, word, span_at(start_byte, j - i, sl, sc)))
-            byte += j - i
-            col += j - i
+    for space, word, newline, comment, bad in _LEXEME.findall(text):
+        i += len(space)
+        if word:
+            j = i + len(word)
+            span = new(SourceSpan, (offset + i, offset + j, ln, i - origin))
+            append(new(Token, (kind_of(word, "ident"), word, span)))
             i = j
-            continue
-        raise ParseError(
-            f"unexpected character {ch!r}",
-            span=span_at(byte, len(ch.encode("utf-8")), ln, col),
-            found=repr(ch),
-        )
-    out.append(Token("eof", "", SourceSpan(byte, byte, ln, col)))
-    return out
+        elif newline:
+            ln += 1
+            origin = i
+            i += 1
+        elif comment:
+            i += len(comment)
+        elif bad:
+            start = offset + len(text[:i].encode("utf-8"))
+            raise ParseError(
+                f"unexpected character {bad!r}",
+                span=SourceSpan(start, start + len(bad.encode("utf-8")), ln, i - origin),
+                found=repr(bad),
+            )
+    append(Token("eof", "", SourceSpan(offset + i, offset + i, ln, i - origin)))
+    if text.isascii():
+        return out
+    # Offsets so far count characters; byte[k] is the UTF-8 length of text[:k].
+    byte = list(accumulate((len(ch.encode("utf-8")) for ch in text), initial=0))
+    return [
+        Token(kind, word, SourceSpan(offset + byte[start - offset], offset + byte[end - offset], *at))
+        for kind, word, (start, end, *at) in out
+    ]
 
 
 # Deepest nesting the parser accepts: at most this many constructs (`~`,
@@ -175,28 +159,24 @@ def _check_height(f: Formula) -> None:
 
 
 class _Parser:
+    """Recursive descent over the token list; `kinds` is the tokens' kinds,
+    read by index so that most tokens are never touched as objects."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.kinds = [tok.kind for tok in tokens]
         self.pos = 0
         self.depth = 0  # constructs open around the current token
         self.operators = 0  # operators, quantifiers and parentheses read
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
+        if self.kinds[self.pos] != kind:
             self.fail({kind})
-        return self.advance()
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def fail(self, expected: set[str]) -> None:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         names = sorted(_DESCRIPTION[k] for k in expected)
         found = repr(tok.text) if tok.kind == "ident" else _DESCRIPTION.get(tok.kind, repr(tok.text))
         raise ParseError(
@@ -218,24 +198,24 @@ class _Parser:
 
     def formula(self) -> Formula:
         left = self.impl()
-        if self.peek().kind == "iff":
-            tok = self.advance()
-            right = self.nested(tok, self.formula)
+        if self.kinds[self.pos] == "iff":
+            self.pos += 1
+            right = self.nested(self.tokens[self.pos - 1], self.formula)
             return Iff(left, right, _join(left, right))
         return left
 
     def impl(self) -> Formula:
         left = self.or_()
-        if self.peek().kind == "implies":
-            tok = self.advance()
-            right = self.nested(tok, self.impl)
+        if self.kinds[self.pos] == "implies":
+            self.pos += 1
+            right = self.nested(self.tokens[self.pos - 1], self.impl)
             return Implies(left, right, _join(left, right))
         return left
 
     def or_(self) -> Formula:
         node = self.and_()
-        while self.peek().kind == "or":
-            self.advance()
+        while self.kinds[self.pos] == "or":
+            self.pos += 1
             self.operators += 1
             rhs = self.and_()
             node = Or(node, rhs, _join(node, rhs))
@@ -243,63 +223,62 @@ class _Parser:
 
     def and_(self) -> Formula:
         node = self.unary()
-        while self.peek().kind == "and":
-            self.advance()
+        while self.kinds[self.pos] == "and":
+            self.pos += 1
             self.operators += 1
             rhs = self.unary()
             node = And(node, rhs, _join(node, rhs))
         return node
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "not":
-            self.advance()
+        kinds, pos = self.kinds, self.pos
+        kind = kinds[pos]
+        if kind == "ident":
+            # The eof token ends the list, so the lookahead stays in range.
+            if kinds[pos + 1] != "lparen" or kinds[pos + 2] != "ident" or kinds[pos + 3] != "rparen":
+                # Not `name ( var )`: the first token out of place raises.
+                self.pos += 1
+                self.expect("lparen")
+                self.expect("ident")
+                self.expect("rparen")
+            self.pos = pos + 4
+            name, _, var, close = self.tokens[pos : pos + 4]
+            start, _, line, column = name.span
+            return PredicateApp(name.text, var.text, SourceSpan(start, close.span.end, line, column))
+        tok = self.tokens[pos]
+        if kind == "not":
+            self.pos += 1
             operand = self.nested(tok, self.unary)
             return Not(operand, _extend(tok.span, operand))
-        if tok.kind in ("forall", "exists"):
-            self.advance()
+        if kind in ("forall", "exists"):
+            self.pos += 1
             var = self.expect("ident")
             self.expect("dot")
             body = self.nested(tok, self.formula)
-            cls = ForAll if tok.kind == "forall" else Exists
+            cls = ForAll if kind == "forall" else Exists
             return cls(var.text, body, _extend(tok.span, body))
-        if tok.kind == "lparen":
-            self.advance()
+        if kind == "lparen":
+            self.pos += 1
             inner = self.nested(tok, self.formula)
             self.expect("rparen")
             return inner
-        if tok.kind == "ident":
-            name = self.advance()
-            self.expect("lparen")
-            var = self.expect("ident")
-            close = self.expect("rparen")
-            span = SourceSpan(name.span.start, close.span.end, name.span.line, name.span.column)
-            return PredicateApp(name.text, var.text, span)
         self.fail({"not", "forall", "exists", "lparen", "ident"})
         raise AssertionError("unreachable")
 
 
-def _node_span(f: Formula) -> SourceSpan | None:
-    return getattr(f, "span", None)
-
-
-def _join(left: Formula, right: Formula) -> SourceSpan | None:
-    a, b = _node_span(left), _node_span(right)
-    if a is None or b is None:
-        return a or b
-    return SourceSpan(a.start, b.end, a.line, a.column)
+def _join(left: Formula, right: Formula) -> SourceSpan:
+    start, _, line, column = left.span
+    return SourceSpan(start, right.span.end, line, column)
 
 
 def _extend(start: SourceSpan, node: Formula) -> SourceSpan:
-    b = _node_span(node)
-    end = b.end if b is not None else start.end
-    return SourceSpan(start.start, end, start.line, start.column)
+    return SourceSpan(start.start, node.span.end, start.line, start.column)
 
 
 def _parse_tokens(tokens: list[Token], contexts: Iterable[str], require_closed: bool) -> Formula:
     parser = _Parser(tokens)
     f = parser.formula()
-    if parser.peek().kind != "eof":
+    if parser.kinds[parser.pos] != "eof":
         parser.fail({"eof"})
     if parser.operators >= MAX_DEPTH:  # fewer cannot build a deeper tree
         _check_height(f)

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import ModelError, UndeclaredName
 from .formulas import Formula, schema, undet_name
-from .semantics import ContextDef, Model
+from .semantics import ContextDef, Model, _array
 from .trivalent import Tv3
 
 __all__ = [
@@ -52,13 +52,16 @@ class Judgment:
     @classmethod
     def from_json(cls, data: dict) -> "Judgment":
         try:
-            return cls(data["context"], data["predicate"], Tv3.from_str(data["value"]))
+            judgment = cls(data["context"], data["predicate"], Tv3.from_str(data["value"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed judgment {data!r}: {exc}") from None
+        if not (isinstance(judgment.context, str) and isinstance(judgment.predicate, str)):
+            raise ModelError(f"malformed judgment {data!r}: context and predicate must be strings")
+        return judgment
 
 
 def judgments_from_json(data: list) -> tuple[Judgment, ...]:
-    return tuple(Judgment.from_json(row) for row in data)
+    return tuple(Judgment.from_json(row) for row in _array(data, "a judgment set"))
 
 
 def judgments_to_json(judgments: Iterable[Judgment]) -> list[dict]:

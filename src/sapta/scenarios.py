@@ -153,6 +153,10 @@ def scenario_double_slit(
 # Schrödinger's cat.
 
 
+# Draws per chunk when the cat scenario samples --trials outcomes.
+_CAT_CHUNK = 1 << 16
+
+
 def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> ScenarioReport:
     """Sealed-box superposition versus an opened-box observation.
 
@@ -172,11 +176,20 @@ def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> Sc
         judgments = (closed_judgment,)
         expected = _expected((Tv3.UNDET, ["box_closed"]))
     else:
+        if trials is not None and trials < 0:
+            raise ValueError(f"trials must be non-negative, got {trials}")
         rng = np.random.default_rng(seed)
-        draws = rng.random(trials if trials else 1)
-        alive = bool(draws[0] < p_alive)
+        alive = bool(rng.random(1)[0] < p_alive)
         if trials:
-            witness["alive_frequency"] = float(np.mean(draws < p_alive))
+            # The remaining draws come from the same stream in chunks, so
+            # memory stays constant; a sum of 0/1 counts is exact, so the
+            # frequency equals the mean over one array of all draws.
+            count, left = int(alive), trials - 1
+            while left:
+                chunk = min(left, _CAT_CHUNK)
+                count += int(np.count_nonzero(rng.random(chunk) < p_alive))
+                left -= chunk
+            witness["alive_frequency"] = count / trials
         witness["sampled_alive"] = 1.0 if alive else 0.0
         open_judgment = Judgment("box_open", "alive", Tv3.from_bool(alive))
         judgments = (open_judgment, closed_judgment)
@@ -373,6 +386,8 @@ def scenario_threshold(
     if lower_cut >= upper_cut:
         raise BadCuts(f"lower cut {lower_cut} must be below upper cut {upper_cut}")
     levels = list(intensity_levels)
+    if not levels:
+        raise ValueError("at least one intensity level is required")
     if len(set(levels)) != len(levels):
         raise ValueError("intensity levels must be distinct")
 

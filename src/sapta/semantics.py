@@ -24,6 +24,7 @@ from .formulas import (
     Not,
     Or,
     PredicateApp,
+    free_variables,
 )
 from .trivalent import Tv3
 
@@ -393,6 +394,8 @@ class _Compiler:
             slot = max(scope.values(), default=-1) + 1
             self.slots = max(self.slots, slot + 1)
             body = self.compile(f.body, {**scope, f.var: slot}, ctx)
+            if f.var not in free_variables(f.body):
+                return body  # a fold of N equal values is that value
             pick, absorbing, domain = (min if forall else max), 2 - unit, range(len(m.domain))
 
             def fold(env):

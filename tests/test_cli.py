@@ -1,9 +1,13 @@
 """CLI behaviour: exit codes, JSON-on-every-path, determinism."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 import sapta.cli as cli
 from sapta.cli import EX_ERROR, EX_MISMATCH, EX_OK, EX_USAGE, main
@@ -311,3 +315,51 @@ def test_deep_nesting_is_a_parse_error(capsys, tmp_path, text):
     assert payload["kind"] == "ParseError"
     assert payload["span"]["line"] == 1
     assert "nested deeper" in err
+
+
+@pytest.mark.parametrize("judgments", [
+    5,
+    {"context": "box_open", "predicate": "alive", "value": "T"},
+    [{"context": "box_open", "predicate": ["alive"], "value": "T"}],
+    [{"context": 7, "predicate": "alive", "value": "T"}],
+])
+def test_classify_rejects_wrongly_typed_judgments(capsys, tmp_path, cat_files, judgments):
+    model, _ = cat_files
+    path = tmp_path / "judgments.json"
+    path.write_text(json.dumps(judgments))
+    code, out, _ = run_cli(capsys, "classify", str(path), "--model", str(model))
+    assert code == EX_ERROR
+    assert json.loads(out)["error"]["kind"] == "ModelError"
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    # Far more output than a pipe buffers, so the write fails once the reader is gone.
+    src = tmp_path / "many.lgc"
+    src.write_text("forall x. ((c1(x) -> p(x)) & (c2(x) -> ~p(x))) & ~(c1(x) <-> c2(x))\n" * 300)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "sapta.cli", "parse", str(src)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EX_ERROR
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+    | st.floats() | st.just(-0.0) | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids)
+    | st.dictionaries(st.text(max_size=5), kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example({"": [], "a\x00 \"\\": {}, "é": [[{}], ()], "n": [float("nan"), float("-inf")]})
+def test_encoder_matches_stock_json(value):
+    want = json.dumps(value, indent=2, ensure_ascii=False)
+    assert json.dumps(value, indent=2, ensure_ascii=False, cls=cli._Encoder) == want

@@ -1,0 +1,123 @@
+"""Random formula text, random JSON and random flags through every subcommand.
+
+Whatever the input, `main()` returns one of the documented exit codes and,
+under ``--format json``, prints exactly one JSON object.
+"""
+import contextlib
+import io
+import json
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from sapta.cli import main
+
+EXIT_CODES = {0, 1, 2, 64}
+
+NAMES = st.sampled_from(["a", "b", "c1", "c2", "p", "q", "p_undet", "x"])
+FRAGMENTS = st.sampled_from([
+    "forall", "exists", " x", " y", ".", "(", ")", "p", "q", "c1", "c2", "(x)", "(y)",
+    " & ", " | ", " -> ", " <-> ", "~", "∀", "∃", "¬", "∧", "→", "↔", " ", "\n",
+    "# note\n", "let f = ", "=", "$", "é", "-", "<",
+])
+FORMULA_TEXT = st.one_of(st.lists(FRAGMENTS, max_size=30).map("".join), st.text(max_size=30))
+
+JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4) | NAMES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(NAMES | st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def either(strategy):
+    """The well-typed strategy or, sometimes, anything at all."""
+    return st.one_of(strategy, JSON_JUNK)
+
+
+VALUES = either(st.sampled_from(["T", "F", "U"]))
+MODELS = either(st.fixed_dictionaries(
+    {
+        "domain": either(st.lists(NAMES, max_size=3)),
+        "contexts": either(st.lists(
+            st.fixed_dictionaries({"name": either(NAMES)},
+                                  optional={"extension": either(st.lists(NAMES, max_size=3))}),
+            max_size=3,
+        )),
+        "predicates": either(st.lists(NAMES, max_size=3)),
+    },
+    optional={
+        "valuation": either(st.lists(st.fixed_dictionaries(
+            {"context": either(NAMES), "entity": either(NAMES), "predicate": either(NAMES),
+             "value": VALUES}), max_size=4)),
+        "incompatible": either(st.lists(st.lists(NAMES, min_size=2, max_size=2), max_size=2)),
+        "background": either(NAMES),
+    },
+))
+JUDGMENT_SETS = either(st.lists(
+    st.fixed_dictionaries({"context": either(NAMES), "predicate": either(NAMES), "value": VALUES}),
+    max_size=4,
+))
+
+
+def json_file(values):
+    """JSON text of a drawn value, or text that is not JSON at all."""
+    return st.one_of(values.map(json.dumps), st.text(max_size=12))
+
+
+SMALL_INTS = st.integers(-3, 50).map(str)
+SCENARIO_FLAGS = st.lists(st.one_of(
+    st.tuples(st.just("--seed"), SMALL_INTS),
+    st.tuples(st.just("--open")),
+    st.tuples(st.just("--trials"), SMALL_INTS),
+    st.tuples(st.just("--perspective"), st.sampled_from(["friend", "wigner", "combined", "x"])),
+    st.tuples(st.just("--friend-outcome"), st.sampled_from(["up", "down"])),
+    st.tuples(st.just("--basis"), st.sampled_from(["zero_one", "plus_minus"])),
+    st.tuples(st.just("--levels"), st.text("0123456789.,-e ", max_size=10)),
+    st.tuples(st.sampled_from(["--lower-cut", "--upper-cut"]), st.sampled_from(["0.2", "0.8", "nan", "-1", "x"])),
+    st.tuples(st.sampled_from(["--no-one-slit-observed", "--no-two-slits-unobserved"])),
+), max_size=4).map(lambda flags: [part for flag in flags for part in flag])
+
+
+@st.composite
+def invocations(draw):
+    """(argv, files) for one subcommand, with a random output format."""
+    command = draw(st.sampled_from(["parse", "eval", "classify", "scenario", "corpus", "exclusivity"]))
+    files = {}
+    if command == "parse":
+        files["f.lgc"] = draw(FORMULA_TEXT)
+        argv = ["parse", "f.lgc"]
+    elif command == "eval":
+        files["f.lgc"] = draw(FORMULA_TEXT)
+        files["model.json"] = draw(json_file(MODELS))
+        argv = ["eval", "f.lgc", "--model", "model.json"]
+        argv += draw(st.sampled_from([[], ["--incompat", "extensional"]]))
+    elif command == "classify":
+        files["model.json"] = draw(json_file(MODELS))
+        files["judgments.json"] = draw(json_file(JUDGMENT_SETS))
+        argv = ["classify", "judgments.json", "--model", "model.json"]
+        argv += draw(st.sampled_from([[], ["--predicate", "p"]]))
+    elif command == "scenario":
+        name = draw(st.sampled_from(["double_slit", "cat", "wigner", "epr", "qcc", "threshold"]))
+        argv = ["scenario", name, *draw(SCENARIO_FLAGS)]
+    elif command == "corpus":
+        argv = ["corpus", "--seed", draw(SMALL_INTS)]
+    else:
+        argv = ["exclusivity"]
+    argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"], ["--bogus"]]))
+    return argv, files
+
+
+@settings(max_examples=200, deadline=None)
+@given(invocations())
+def test_every_subcommand_keeps_the_cli_contract(tmp_path_factory, case):
+    argv, files = case
+    directory = tmp_path_factory.mktemp("fuzz")
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    argv = [str(directory / a) if a in files else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in EXIT_CODES, (argv, code)
+    if "text" not in argv:
+        assert isinstance(json.loads(out.getvalue()), dict), (argv, out.getvalue())

@@ -4,6 +4,8 @@ The oracle works on plain dicts and ranks (F, U, T = 0, 1, 2): conjunction
 is min, disjunction max, negation 2 - x, and the quantifiers fold min / max
 over the domain.  It shares no code with sapta's semantics.
 """
+import time
+
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
@@ -182,3 +184,24 @@ def test_evaluate_matches_rank_oracle(case):
             want = oracle(open_body, world, env, None, relational)
             got = evaluate(open_body, model, env, incompat_mode=mode)
             assert RANK[got.value] == want, (mode, open_body, env)
+
+
+def test_vacuous_quantifiers_run_their_body_once():
+    # Neither the outer x nor the outer y (shadowed by the body's own) is read,
+    # so 60 levels over 2 entities must not fold 2**60 times.
+    body = Exists("y", And(PredicateApp("p", "y"), Not(PredicateApp("q", "y"))))
+    model = to_model(TWO_ENTITIES)
+
+    def nest(depth):
+        f = body
+        for level in range(depth):
+            f = (ForAll if level % 2 else Exists)("y" if level % 3 == 0 else "x", f)
+        return f
+
+    for depth in (1, 8):  # shallow enough for the oracle's full folds
+        want = oracle(nest(depth), TWO_ENTITIES, {}, None, True)
+        assert RANK[evaluate(nest(depth), model).value] == want
+    start = time.perf_counter()
+    got = evaluate(nest(60), model)
+    assert time.perf_counter() - start < 1.0
+    assert RANK[got.value] == oracle(body, TWO_ENTITIES, {}, None, True)

@@ -1,5 +1,6 @@
 """Parser, pretty-printer, and their round-trip."""
 import random
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -19,7 +20,7 @@ from sapta.formulas import (
     PredicateApp,
     pretty,
 )
-from sapta.parser import MAX_DEPTH, parse, parse_formula_file
+from sapta.parser import MAX_DEPTH, parse, parse_formula_file, tokenize
 
 
 def P(name, var="x"):
@@ -241,3 +242,51 @@ def test_formula_file_error_carries_file_line():
 def test_formula_file_marks_contexts():
     entries = parse_formula_file("forall x. (c(x) -> p(x))\n", contexts={"c"})
     assert entries[0].formula == ForAll("x", Implies(ContextGuard("c", "x"), P("p")))
+
+
+_LEXEMES = {
+    "<->": "iff", "->": "implies", "~": "not", "&": "and", "|": "or", "(": "lparen",
+    ")": "rparen", ".": "dot", "forall": "forall", "exists": "exists", "¬": "not",
+    "∧": "and", "∨": "or", "→": "implies", "↔": "iff", "∀": "forall", "∃": "exists",
+}
+_WORD = re.compile(r"[A-Za-z0-9_]")
+_GAPS = st.lists(
+    st.sampled_from([" ", "\t", "\n", "　", "\xa0", "\r", "# ¬ é ∀\n", "#\n"]), max_size=3
+).map("".join)
+
+
+@st.composite
+def _token_texts(draw):
+    """Formula text with the (kind, text, character offset) of every token."""
+    text, tokens = "", []
+    for _ in range(draw(st.integers(0, 12))):
+        gap = draw(_GAPS)
+        word = draw(st.sampled_from(sorted(_LEXEMES))
+                    | st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True))
+        if not gap and tokens and _WORD.match(word) and _WORD.match(tokens[-1][1][-1]):
+            gap = " "  # two words in a row need something between them
+        text += gap
+        tokens.append((_LEXEMES.get(word, "ident"), word, len(text)))
+        text += word
+    return text + draw(_GAPS), tokens
+
+
+@settings(max_examples=200, deadline=None)
+@given(_token_texts(), st.integers(1, 5), st.integers(1, 5), st.integers(0, 50))
+def test_token_spans_match_the_text(case, line, column, offset):
+    text, expected = case
+    tokens = tokenize(text, line=line, column=column, offset=offset)
+    assert [(t.kind, t.text) for t in tokens[:-1]] == [(kind, word) for kind, word, _ in expected]
+    data = text.encode("utf-8")
+    for tok, (_, word, at) in zip(tokens, expected):
+        before = text[:at]
+        assert data[tok.span.start - offset:tok.span.end - offset].decode("utf-8") == word
+        assert tok.span.start == offset + len(before.encode("utf-8"))
+        assert tok.span.line == line + before.count("\n")
+        if "\n" in before:
+            assert tok.span.column == at - before.rindex("\n")
+        else:
+            assert tok.span.column == column + at
+    eof = tokens[-1]
+    assert eof.kind == "eof" and eof.span.start == eof.span.end == offset + len(data)
+    assert eof.span.line == line + text.count("\n")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sapta import scenarios
 from sapta.errors import BadCuts
 from sapta.predication import PredicationTag, classify
 from sapta.scenarios import (
@@ -103,6 +104,22 @@ def test_cat_sampling_reproducible():
 def test_cat_trials_frequency():
     report = scenario_cat(open_box=True, seed=0, trials=100_000)
     assert report.numeric_witness["alive_frequency"] == pytest.approx(0.5, abs=0.01)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 6, 7, 8, 15, 50])
+def test_cat_trials_chunked_equal_one_draw(monkeypatch, trials):
+    p_alive = scenario_cat(open_box=False).numeric_witness["p_alive"]
+    draws = np.random.default_rng(3).random(trials)
+    want = {"p_alive": p_alive, "alive_frequency": float(np.mean(draws < p_alive)),
+            "sampled_alive": float(draws[0] < p_alive)}
+    assert scenario_cat(open_box=True, seed=3, trials=trials).numeric_witness == want
+    monkeypatch.setattr(scenarios, "_CAT_CHUNK", 7)
+    assert scenario_cat(open_box=True, seed=3, trials=trials).numeric_witness == want
+
+
+def test_cat_negative_trials_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        scenario_cat(open_box=True, trials=-1)
 
 
 def test_cat_born_probability():
@@ -217,6 +234,11 @@ def test_threshold_three_bands_is_p7():
     report = scenario_threshold()
     assert report.expected_class.tag is PredicationTag.P7
     assert classified_tag(report) is PredicationTag.P7
+
+
+def test_threshold_needs_a_level():
+    with pytest.raises(ValueError, match="at least one"):
+        scenario_threshold(())
 
 
 def test_threshold_band_assignment():
