@@ -413,21 +413,14 @@ def _error_payload(exc: Exception) -> dict:
     return payload
 
 
-def _wants_json(argv: list[str], args=None) -> bool:
-    if args is not None:
-        return getattr(args, "format", "json") == "json"
-    return "text" not in [argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--format"] and (
-        "--format=text" not in argv
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        if _wants_json(argv):
+        # No parsed args on this path: read --format off argv.
+        if ("--format", "text") not in zip(argv, argv[1:]) and "--format=text" not in argv:
             _emit_json({"error": {"kind": "UsageError", "message": str(exc), "span": None}})
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
@@ -436,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         raise  # stdout is gone: no error report can be written to it
     except (SaptaError, OSError, json.JSONDecodeError, ValueError) as exc:
-        if _wants_json(argv, args):
+        if args.format == "json":
             _emit_json({"error": _error_payload(exc)})
         span = getattr(exc, "span", None)
         where = f"{span.line}:{span.column}: " if span is not None else ""

@@ -31,7 +31,7 @@ __all__ = [
     "pretty",
     "undet_name",
     "schema",
-    "SCHEMA_ARITY",
+    "PREDICATIONS",
 ]
 
 
@@ -264,18 +264,19 @@ def undet_name(predicate: str) -> str:
     return predicate + UNDET_SUFFIX
 
 
-SCHEMA_ARITY = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 3}
-
-# Consequent polarity per schema: T = plain atom, F = negated atom,
-# U = companion indeterminacy atom.  Order matches the witness order T, F, U.
-_CONSEQUENTS = {
-    1: "T",
-    2: "F",
-    3: "U",
-    4: "TF",
-    5: "TU",
-    6: "FU",
-    7: "TFU",
+# The seven predications, one row per nonempty subset of {T, F, U}: row k is
+# schema k and class Pk.  A row holds the asserted values in witness order
+# T, F, U and the transliterated name.  The schema's arity is the number of
+# values, and each letter fixes a consequent: T the plain atom, F the negated
+# atom, U the companion indeterminacy atom.
+PREDICATIONS = {
+    1: ("T", "syāt asti"),
+    2: ("F", "syāt nāsti"),
+    3: ("U", "syāt avaktavyam"),
+    4: ("TF", "syāt asti cha nāsti cha"),
+    5: ("TU", "syāt asti cha avaktavyam cha"),
+    6: ("FU", "syāt nāsti cha avaktavyam cha"),
+    7: ("TFU", "syād asti cha nāsti cha avaktavyam cha"),
 }
 
 # Pairwise incompatibility clause order as published: (1,2) for two guards;
@@ -290,12 +291,13 @@ def schema(n: int, contexts: Iterable[str], predicate: str, *, var: str = "x") -
     guarded assertions with the pairwise guard-incompatibility clauses
     ``~(c_i(x) <-> c_j(x))``.
     """
-    if n not in SCHEMA_ARITY:
+    if n not in PREDICATIONS:
         raise ValueError(f"schema index must be 1..7, got {n}")
     names = list(contexts)
     if len(set(names)) != len(names):
         raise DuplicateContext(f"context names must be distinct, got {names}")
-    arity = SCHEMA_ARITY[n]
+    consequents = PREDICATIONS[n][0]
+    arity = len(consequents)
     if len(names) != arity:
         raise ArityMismatch(
             f"schema {n} takes {arity} context(s), got {len(names)}"
@@ -311,7 +313,7 @@ def schema(n: int, contexts: Iterable[str], predicate: str, *, var: str = "x") -
 
     guards = [ContextGuard(c, var) for c in names]
     conjuncts: list[Formula] = [
-        Implies(g, consequent(kind)) for g, kind in zip(guards, _CONSEQUENTS[n])
+        Implies(g, consequent(kind)) for g, kind in zip(guards, consequents)
     ]
     for i, j in _INCOMPAT_PAIRS[arity]:
         conjuncts.append(Not(Iff(guards[i], guards[j])))

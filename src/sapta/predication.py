@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import ModelError, UndeclaredName
-from .formulas import Formula, schema, undet_name
+from .formulas import PREDICATIONS, Formula, schema, undet_name
 from .semantics import ContextDef, Model, _array
 from .trivalent import Tv3
 
@@ -83,40 +83,17 @@ class PredicationTag(Enum):
         return self.value
 
 
+# The predication table read per class: Pk -> (k, asserted values in witness
+# order T, F, U).
+_ROWS = {
+    PredicationTag(f"P{k}"): (k, tuple(map(Tv3.from_str, letters)))
+    for k, (letters, _) in PREDICATIONS.items()
+}
+_TAG_FOR_VALUES = {frozenset(values): tag for tag, (_, values) in _ROWS.items()}
+_VALUE_ORDER = _ROWS[PredicationTag.P7][1]  # P7 asserts every value
+
 # Transliterated names of the seven predications, used by text output.
-SANSKRIT_NAMES = {
-    PredicationTag.P1: "syāt asti",
-    PredicationTag.P2: "syāt nāsti",
-    PredicationTag.P3: "syāt avaktavyam",
-    PredicationTag.P4: "syāt asti cha nāsti cha",
-    PredicationTag.P5: "syāt asti cha avaktavyam cha",
-    PredicationTag.P6: "syāt nāsti cha avaktavyam cha",
-    PredicationTag.P7: "syād asti cha nāsti cha avaktavyam cha",
-}
-
-_VALUES_TO_TAG = {
-    frozenset({Tv3.TRUE}): PredicationTag.P1,
-    frozenset({Tv3.FALSE}): PredicationTag.P2,
-    frozenset({Tv3.UNDET}): PredicationTag.P3,
-    frozenset({Tv3.TRUE, Tv3.FALSE}): PredicationTag.P4,
-    frozenset({Tv3.TRUE, Tv3.UNDET}): PredicationTag.P5,
-    frozenset({Tv3.FALSE, Tv3.UNDET}): PredicationTag.P6,
-    frozenset({Tv3.TRUE, Tv3.FALSE, Tv3.UNDET}): PredicationTag.P7,
-}
-
-_TAG_TO_VALUES = {tag: values for values, tag in _VALUES_TO_TAG.items()}
-
-_SCHEMA_INDEX = {
-    PredicationTag.P1: 1,
-    PredicationTag.P2: 2,
-    PredicationTag.P3: 3,
-    PredicationTag.P4: 4,
-    PredicationTag.P5: 5,
-    PredicationTag.P6: 6,
-    PredicationTag.P7: 7,
-}
-
-_VALUE_ORDER = (Tv3.TRUE, Tv3.FALSE, Tv3.UNDET)
+SANSKRIT_NAMES = {PredicationTag(f"P{k}"): name for k, (_, name) in PREDICATIONS.items()}
 
 
 @dataclass(frozen=True)
@@ -133,7 +110,8 @@ class PredicationClass:
 
     @property
     def schema_index(self) -> int | None:
-        return _SCHEMA_INDEX.get(self.tag)
+        row = _ROWS.get(self.tag)
+        return row[0] if row else None
 
     def to_json(self) -> dict:
         return {"class": self.tag.value, "contexts": list(self.contexts_used)}
@@ -141,7 +119,7 @@ class PredicationClass:
 
 def tag_for_values(values: Iterable[Tv3]) -> PredicationTag:
     """Predication tag for a nonempty set of asserted values."""
-    return _VALUES_TO_TAG[frozenset(values)]
+    return _TAG_FOR_VALUES[frozenset(values)]
 
 
 def classify(judgments: Iterable[Judgment], model: Model, predicate: str) -> PredicationClass:
@@ -193,7 +171,7 @@ def classify(judgments: Iterable[Judgment], model: Model, predicate: str) -> Pre
         for value in _VALUE_ORDER
         if value in values
     )
-    return PredicationClass(_VALUES_TO_TAG[values], witnesses)
+    return PredicationClass(_TAG_FOR_VALUES[values], witnesses)
 
 
 def schema_formula_for(cls: PredicationClass, predicate: str) -> Formula | None:
@@ -204,7 +182,7 @@ def schema_formula_for(cls: PredicationClass, predicate: str) -> Formula | None:
     return schema(k, cls.contexts_used, predicate)
 
 
-def induced_model(judgments: Iterable[Judgment], predicate: str) -> Model:
+def induced_model(judgments: Iterable[Judgment], predicate: str, entity: str = "e") -> Model:
     """Build the minimal model on which a judgment set's schema holds.
 
     One entity satisfies every judgment context's condition; the valuation
@@ -212,7 +190,6 @@ def induced_model(judgments: Iterable[Judgment], predicate: str) -> Model:
     exactly where the value is U; all context pairs are mutually
     incompatible (distinct, non-overlapping conditions).
     """
-    entity = "e"
     relevant = [j for j in judgments if j.predicate == predicate]
     names = sorted({j.context for j in relevant})
     if not names:
@@ -270,13 +247,10 @@ _CANONICAL_CONTEXTS = ("c1", "c2", "c3")
 
 def canonical_witness(tag: PredicationTag) -> tuple[tuple[Judgment, ...], Model]:
     """Canonical judgment set and model exhibiting a P1..P7 predication."""
-    values = _TAG_TO_VALUES.get(tag)
-    if values is None:
+    row = _ROWS.get(tag)
+    if row is None:
         raise ValueError(f"no canonical witness for {tag}")
-    ordered = [v for v in _VALUE_ORDER if v in values]
-    judgments = tuple(
-        Judgment(_CANONICAL_CONTEXTS[i], "p", v) for i, v in enumerate(ordered)
-    )
+    judgments = tuple(Judgment(c, "p", v) for c, v in zip(_CANONICAL_CONTEXTS, row[1]))
     return judgments, induced_model(judgments, "p")
 
 
@@ -296,26 +270,22 @@ class CertificateRow:
         }
 
 
-def _value_set_text(values: frozenset[Tv3]) -> str:
-    return "{" + ", ".join(v.value for v in _VALUE_ORDER if v in values) + "}"
+def _value_set_text(values: tuple[Tv3, ...]) -> str:
+    return "{" + ", ".join(v.value for v in values) + "}"
 
 
 def mutual_exclusivity_certificate() -> list[CertificateRow]:
     """Check pairwise distinctness of the seven predications.
 
-    For each of the 21 unordered pairs, classify both canonical witnesses
-    and verify neither lands on the other's class.  All rows must read
-    "distinct"; the asserted value sets make the reason explicit.
+    Classify each canonical witness once; for each of the 21 unordered
+    pairs, verify neither witness lands on the other's class.  All rows must
+    read "distinct"; the asserted value sets make the reason explicit.
     """
-    tags = [t for t in PredicationTag if t in _TAG_TO_VALUES]
+    classified = {tag: classify(*canonical_witness(tag), "p").tag for tag in _ROWS}
     rows = []
-    for a, b in combinations(tags, 2):
-        js_a, model_a = canonical_witness(a)
-        js_b, model_b = canonical_witness(b)
-        got_a = classify(js_a, model_a, "p")
-        got_b = classify(js_b, model_b, "p")
-        distinct = got_a.tag is a and got_b.tag is b and a is not b
-        va, vb = _TAG_TO_VALUES[a], _TAG_TO_VALUES[b]
+    for a, b in combinations(_ROWS, 2):
+        distinct = classified[a] is a and classified[b] is b
+        va, vb = _ROWS[a][1], _ROWS[b][1]
         if len(va) != len(vb):
             reason = f"{len(va)} vs {len(vb)} values"
         else:

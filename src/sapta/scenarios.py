@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Sequence
 
 from .errors import BadCuts
@@ -20,6 +19,7 @@ from .predication import (
     PredicationClass,
     PredicationTag,
     classify,
+    induced_model,
     judgments_to_json,
     tag_for_values,
 )
@@ -33,7 +33,7 @@ from .quantum import (
     tensor_product,
     weak_value,
 )
-from .semantics import ContextDef, Model
+from .semantics import Model
 from .trivalent import Tv3
 
 __all__ = [
@@ -83,20 +83,6 @@ class ScenarioReport:
         }
 
 
-def _one_entity_model(entity: str, judgments: Sequence[Judgment], predicate: str) -> Model:
-    """Single-entity model: every context applies, all pairs incompatible."""
-    names = sorted({j.context for j in judgments})
-    valuation = {(j.context, entity, j.predicate): j.value for j in judgments}
-    return Model(
-        domain=[entity],
-        contexts=[ContextDef(c, {entity}) for c in names],
-        predicates=[predicate],
-        valuation=valuation,
-        incompatible=list(combinations(names, 2)),
-        background=names[0],
-    )
-
-
 def _expected(*pairs: tuple[Tv3, Sequence[str]]) -> PredicationClass:
     """Expected class from (value, witness candidates) in T, F, U order."""
     values = [v for v, _ in pairs]
@@ -133,7 +119,7 @@ def scenario_double_slit(
         if flag
     )
     if judgments:
-        model = _one_entity_model("electron", judgments, "particle")
+        model = induced_model(judgments, "particle", "electron")
         expected = _expected(*[(j.value, [j.context]) for j in judgments])
     else:
         model = Model(["electron"], [], ["particle"])
@@ -198,7 +184,7 @@ def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> Sc
         else:
             expected = _expected((Tv3.FALSE, ["box_open"]), (Tv3.UNDET, ["box_closed"]))
 
-    model = _one_entity_model("cat", judgments, "alive")
+    model = induced_model(judgments, "alive", "cat")
     return ScenarioReport("cat", model, judgments, expected, witness)
 
 
@@ -259,7 +245,7 @@ def scenario_wigner(perspective: str = "combined", friend_outcome: str = "up") -
         expected = _expected(
             (friend_judgment.value, ["friend_lab"]), (Tv3.UNDET, ["outside_lab"])
         )
-    model = _one_entity_model("spin_system", judgments, "spin_up")
+    model = induced_model(judgments, "spin_up", "spin_system")
     return ScenarioReport("wigner", model, judgments, expected, witness)
 
 
@@ -303,7 +289,7 @@ def scenario_epr(basis: str = "zero_one") -> ScenarioReport:
     expected = _expected(
         (Tv3.TRUE, ["basis_zero_one"]), (Tv3.UNDET, ["basis_plus_minus"])
     )
-    model = _one_entity_model("pair", judgments, "b_in_state_b0")
+    model = induced_model(judgments, "b_in_state_b0", "pair")
     witness: dict[str, float | complex] = {
         "max_amplitude_difference": max_diff,
         "alice_outcome_probability": outcome_prob,
@@ -362,7 +348,7 @@ def scenario_qcc() -> ScenarioReport:
         (Tv3.FALSE, ["probe_arm_R"]),
         (Tv3.UNDET, ["no_probe"]),
     )
-    model = _one_entity_model("photon", judgments, "photon_present")
+    model = induced_model(judgments, "photon_present", "photon")
     return ScenarioReport("qcc", model, judgments, expected, witness)
 
 
@@ -381,13 +367,18 @@ def scenario_threshold(
     cut the subject reports "no" (F), between the cuts "it is uncertain"
     (U), above the upper cut "yes" (T).  Levels spanning all three bands
     exhaust the sevenfold schema's seventh predication; restricted level
-    sets reproduce the others.
+    sets reproduce the others.  Levels and cuts must be finite.
     """
+    if not (math.isfinite(lower_cut) and math.isfinite(upper_cut)):
+        raise BadCuts(f"cuts must be finite, got {lower_cut} and {upper_cut}")
     if lower_cut >= upper_cut:
         raise BadCuts(f"lower cut {lower_cut} must be below upper cut {upper_cut}")
     levels = list(intensity_levels)
     if not levels:
         raise ValueError("at least one intensity level is required")
+    for level in levels:
+        if not math.isfinite(level):
+            raise ValueError(f"intensity levels must be finite, got {level}")
     if len(set(levels)) != len(levels):
         raise ValueError("intensity levels must be distinct")
 
@@ -412,7 +403,7 @@ def scenario_threshold(
     expected = _expected(
         *[(v, by_value[v]) for v in (Tv3.TRUE, Tv3.FALSE, Tv3.UNDET) if v in by_value]
     )
-    model = _one_entity_model("stimulus", judgments, "perceived")
+    model = induced_model(judgments, "perceived", "stimulus")
     return ScenarioReport("threshold", model, judgments, expected, witness)
 
 

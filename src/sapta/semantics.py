@@ -26,7 +26,9 @@ from .formulas import (
     PredicateApp,
     free_variables,
 )
-from .trivalent import Tv3
+# Truth values are coded by their rank on the chain F < U < T, so conjunction
+# and disjunction are min and max, and negation is 2 - x.
+from .trivalent import _CHAIN, Tv3
 
 __all__ = [
     "ContextDef",
@@ -50,11 +52,6 @@ class ContextDef:
     def __init__(self, name: str, extension: Iterable[str] = ()):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "extension", frozenset(extension))
-
-
-# Truth values are coded by rank on the chain F < U < T, so conjunction and
-# disjunction are min and max, and negation is 2 - x.
-_TV = (Tv3.FALSE, Tv3.UNDET, Tv3.TRUE)
 
 
 def _index_of(index: dict, name) -> int | None:
@@ -135,7 +132,7 @@ class Model:
         # Totalize the valuation; unlisted cells default to U.  The count of
         # defaulted cells is kept for output metadata.
         given = dict(valuation or {})
-        cells = bytearray([_TV.index(Tv3.UNDET)]) * (k * len(self.predicates) * len(self.domain))
+        cells = bytearray([_CHAIN.index(Tv3.UNDET)]) * (k * len(self.predicates) * len(self.domain))
         for (c, e, p), v in given.items():
             ci = contexts_at.get(c)
             if ci is None:
@@ -147,7 +144,7 @@ class Model:
             if pi is None:
                 raise ModelError(f"valuation names undeclared predicate {p!r}")
             try:
-                cells[self._column(ci, pi) + ei] = _TV.index(v)
+                cells[self._column(ci, pi) + ei] = _CHAIN.index(v)
             except ValueError:
                 raise ModelError(f"valuation of {(c, e, p)!r} is not a truth value: {v!r}") from None
         self._cells = cells
@@ -180,7 +177,7 @@ class Model:
         if predicate not in self._predicate_index:
             raise UndeclaredName(f"undeclared predicate {predicate!r}")
         column = self._column(self._context_index[context], self._predicate_index[predicate])
-        return _TV[self._cells[column + ei]]
+        return _CHAIN[self._cells[column + ei]]
 
     def incompatible(self, c1: str, c2: str) -> bool:
         """Whether the unordered context pair is marked mutually incompatible.
@@ -241,7 +238,7 @@ class Model:
                 for p, pi in predicates:
                     code = self._cells[self._column(ci, pi) + ei]
                     valuation.append(
-                        {"context": c, "entity": e, "predicate": p, "value": _TV[code].value}
+                        {"context": c, "entity": e, "predicate": p, "value": _CHAIN[code].value}
                     )
         names, k = list(self.contexts), len(self.contexts)
         return {
@@ -333,7 +330,7 @@ def evaluate(
         raise ValueError(f"incompat_mode must be 'relational' or 'extensional', got {incompat_mode!r}")
     compiler = _Compiler(model, dict(env or {}), incompat_mode == "relational")
     run = compiler.compile(f, {}, None)
-    return _TV[run([0] * compiler.slots)]
+    return _CHAIN[run([0] * compiler.slots)]
 
 
 def _const(code: int):

@@ -56,8 +56,10 @@ class Tv3(Enum):
 # Enum's own value lookup is several times slower than a dict's.
 _BY_TEXT = {v.value: v for v in Tv3}
 
-# F < U < T turns conjunction into a meet and disjunction into a join.
-_RANK = {Tv3.FALSE: 0, Tv3.UNDET: 1, Tv3.TRUE: 2}
+# The chain F < U < T turns conjunction into a meet and disjunction into a
+# join; a value's rank is its position on the chain.
+_CHAIN = (Tv3.FALSE, Tv3.UNDET, Tv3.TRUE)
+_RANK = {v: rank for rank, v in enumerate(_CHAIN)}
 
 
 def neg3(a: Tv3) -> Tv3:

@@ -168,6 +168,14 @@ def test_bad_flags_exit_64(capsys):
     assert code == EX_USAGE
 
 
+@pytest.mark.parametrize("fmt", [["--format", "text"], ["--format=text"]])
+def test_usage_error_in_text_mode_prints_nothing_on_stdout(capsys, fmt):
+    code, out, err = run_cli(capsys, "corpus", "--bogus", *fmt)
+    assert code == EX_USAGE
+    assert out == ""
+    assert "usage error" in err
+
+
 def test_unknown_command_exits_64(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == EX_USAGE
@@ -261,6 +269,25 @@ def test_scenario_threshold_flags(capsys):
     code, out, _ = run_cli(capsys, "scenario", "threshold", "--lower-cut", "0.9")
     assert code == EX_ERROR
     assert json.loads(out)["error"]["kind"] == "BadCuts"
+
+
+@pytest.mark.parametrize(
+    "flags, kind",
+    [
+        (["--levels", "nan,1e400"], "ValueError"),
+        (["--levels", "0.5,inf"], "ValueError"),
+        (["--lower-cut", "nan"], "BadCuts"),
+        (["--upper-cut", "nan"], "BadCuts"),
+        (["--lower-cut=-inf"], "BadCuts"),
+    ],
+)
+def test_scenario_threshold_rejects_non_finite_numbers(capsys, flags, kind):
+    code, out, _ = run_cli(capsys, "scenario", "threshold", *flags)
+    assert code == EX_ERROR
+    data = json.loads(out)  # exactly one JSON value on stdout
+    assert list(data) == ["error"]
+    assert data["error"]["kind"] == kind
+    assert "finite" in data["error"]["message"]
 
 
 def test_eval_stdin(capsys, monkeypatch, tmp_path, cat_files):

@@ -237,6 +237,20 @@ def test_induced_model_structure():
         induced_model([], "p")
 
 
+def test_induced_model_names_its_entity():
+    m = induced_model([J("c1", T)], "p", "electron")
+    assert m.domain == ("electron",)
+    assert m.value("c1", "electron", "p") is T
+    assert m.value("c1", "electron", undet_name("p")) is F
+
+
+def test_no_schema_or_witness_outside_p1_to_p7():
+    for tag in (PredicationTag.INCONSISTENT, PredicationTag.DEGENERATE):
+        assert PredicationClass(tag).schema_index is None
+        with pytest.raises(ValueError):
+            canonical_witness(tag)
+
+
 # -- entailment ----------------------------------------------------------------
 
 

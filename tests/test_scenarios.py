@@ -6,7 +6,7 @@ import pytest
 
 from sapta import scenarios
 from sapta.errors import BadCuts
-from sapta.predication import PredicationTag, classify
+from sapta.predication import PredicationTag, classify, schema_formula_for
 from sapta.scenarios import (
     CORPUS_ORDER,
     CorpusResult,
@@ -20,6 +20,7 @@ from sapta.scenarios import (
     scenario_threshold,
     scenario_wigner,
 )
+from sapta.semantics import evaluate
 from sapta.trivalent import Tv3
 
 T, F, U = Tv3.TRUE, Tv3.FALSE, Tv3.UNDET
@@ -259,6 +260,18 @@ def test_threshold_restricted_bands():
     assert classified_tag(straddle_lower) is PredicationTag.P6
 
 
+@pytest.mark.parametrize("levels", [(0.5, math.nan), (math.nan,), (0.5, 1e400), (-math.inf, 0.9)])
+def test_threshold_rejects_non_finite_levels(levels):
+    with pytest.raises(ValueError, match="finite"):
+        scenario_threshold(levels)
+
+
+@pytest.mark.parametrize("cuts", [(math.nan, 0.7), (0.3, math.nan), (-math.inf, 0.7), (0.3, math.inf)])
+def test_threshold_rejects_non_finite_cuts(cuts):
+    with pytest.raises(BadCuts, match="finite"):
+        scenario_threshold((0.5,), *cuts)
+
+
 def test_threshold_bad_cuts():
     with pytest.raises(BadCuts):
         scenario_threshold((0.5,), 0.7, 0.3)
@@ -322,3 +335,26 @@ def test_report_json_shape():
     overlap = data["numericWitness"]["overlap_post_pre"]
     assert set(overlap) == {"re", "im"}
     assert overlap["im"] == pytest.approx(0.5, abs=ATOL)
+
+
+def _scenario_variants():
+    yield from (("corpus " + r.name, r.report) for r in run_corpus(0))
+    flags = [(a, b, c) for a in (True, False) for b in (True, False) for c in (True, False)]
+    yield from ((f"double_slit {f}", scenario_double_slit(*f)) for f in flags if any(f))
+    yield "cat closed", scenario_cat(False)
+    for alive in (True, False):
+        yield f"cat open alive={alive}", scenario_cat(True, find_cat_seed(0, want_alive=alive))
+    for perspective in ("friend", "wigner", "combined"):
+        for outcome in ("up", "down"):
+            yield f"wigner {perspective} {outcome}", scenario_wigner(perspective, outcome)
+    for basis in ("zero_one", "plus_minus"):
+        yield f"epr {basis}", scenario_epr(basis)
+    for levels in [(0.9,), (0.1,), (0.5,), (0.1, 0.9), (0.5, 0.8, 0.9), (0.1, 0.2, 0.5), (0.9, 0.1, 0.4, 0.6)]:
+        yield f"threshold {levels}", scenario_threshold(levels)
+
+
+def test_scenario_models_satisfy_their_expected_schema():
+    for label, report in _scenario_variants():
+        predicate = report.judgments[0].predicate
+        formula = schema_formula_for(report.expected_class, predicate)
+        assert evaluate(formula, report.model) is Tv3.TRUE, label

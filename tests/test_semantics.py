@@ -57,6 +57,12 @@ def test_model_rejects_duplicates_and_strays():
         simple_model(predicates=["p", "c1"])  # context/predicate names overlap
 
 
+@pytest.mark.parametrize("value", ["T", 2, None, ["T"], True])
+def test_model_rejects_non_truth_values(value):
+    with pytest.raises(ModelError, match="valuation of .* is not a truth value"):
+        simple_model(valuation={("c1", "a", "p"): value})
+
+
 def test_background_rules():
     with pytest.raises(ModelError):
         simple_model(background=None)
