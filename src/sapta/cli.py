@@ -9,8 +9,10 @@ on bad flags.  Set SAPTA_COLOR=0 to disable ANSI color in text output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring
 
@@ -50,7 +52,18 @@ class _UsageError(Exception):
     pass
 
 
+# argparse reads an argument that starts with '-' as a value, not an option,
+# when this matches it.  The stock pattern differs between Python versions and
+# misses '-1e3', '-inf' and the --levels list '-1e-3,0.5'.
+_NUMBER = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
+_NEGATIVE_NUMBERS = re.compile(rf"-{_NUMBER}(?:,[-+]?{_NUMBER})*\Z", re.IGNORECASE)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBERS  # subparsers are built as type(self)
+
     # argparse exits 2 on usage errors; route through EX_USAGE instead.
     def error(self, message):
         raise _UsageError(message)
@@ -438,6 +451,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # One command's cyclic garbage is a few hundred objects whatever the
+    # input size (mostly the argparse parser), so the process never collects
+    # it; with the collector on, decoding a large model rescans every list it
+    # has made so far at each collection.  main() leaves the collector as it
+    # finds it, for callers that run it in-process.
+    gc.disable()
     try:
         code = main()
         sys.stdout.flush()

@@ -367,7 +367,8 @@ def scenario_threshold(
     cut the subject reports "no" (F), between the cuts "it is uncertain"
     (U), above the upper cut "yes" (T).  Levels spanning all three bands
     exhaust the sevenfold schema's seventh predication; restricted level
-    sets reproduce the others.  Levels and cuts must be finite.
+    sets reproduce the others.  Levels and cuts must be finite, and distinct
+    levels must name distinct contexts (``0.3`` and ``0.2999999`` do not).
     """
     if not (math.isfinite(lower_cut) and math.isfinite(upper_cut)):
         raise BadCuts(f"cuts must be finite, got {lower_cut} and {upper_cut}")
@@ -389,9 +390,14 @@ def scenario_threshold(
             return Tv3.UNDET
         return Tv3.TRUE
 
-    judgments = tuple(
-        Judgment(f"intensity_{level:g}", "perceived", band(level)) for level in levels
-    )
+    named: dict[str, float] = {}
+    for level in levels:
+        name = f"intensity_{level:g}"
+        if named.setdefault(name, level) != level:
+            raise ValueError(
+                f"intensity levels {named[name]!r} and {level!r} both name context {name!r}"
+            )
+    judgments = tuple(Judgment(name, "perceived", band(level)) for name, level in named.items())
     witness: dict[str, float | complex] = {
         "count_below_lower_cut": float(sum(1 for l in levels if band(l) is Tv3.FALSE)),
         "count_between_cuts": float(sum(1 for l in levels if band(l) is Tv3.UNDET)),

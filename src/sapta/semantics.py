@@ -28,7 +28,7 @@ from .formulas import (
 )
 # Truth values are coded by their rank on the chain F < U < T, so conjunction
 # and disjunction are min and max, and negation is 2 - x.
-from .trivalent import _CHAIN, Tv3
+from .trivalent import _CHAIN, _RANK, Tv3
 
 __all__ = [
     "ContextDef",
@@ -52,6 +52,11 @@ class ContextDef:
     def __init__(self, name: str, extension: Iterable[str] = ()):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "extension", frozenset(extension))
+
+
+# The code of a valuation cell no entry has listed yet; such cells become U.
+_UNLISTED = len(_CHAIN)
+_CODE_OF_TEXT = {v.value: rank for v, rank in _RANK.items()}
 
 
 def _index_of(index: dict, name) -> int | None:
@@ -83,6 +88,17 @@ class Model:
         incompatible: Iterable[tuple[str, str]] = (),
         background: str | None = None,
     ):
+        cells = self._build(domain, contexts, predicates, incompatible, background)
+        for (c, e, p), v in (valuation or {}).items():
+            cell = self._cell(c, e, p)
+            if not isinstance(v, Tv3):
+                raise ModelError(f"valuation of {(c, e, p)!r} is not a truth value: {v!r}")
+            cells[cell] = _RANK[v]
+        self._store(cells)
+
+    def _build(self, domain, contexts, predicates, incompatible, background) -> bytearray:
+        """Index and check everything but the valuation, which the caller
+        writes into the returned cells before passing them to ``_store``."""
         self.domain: tuple[str, ...] = tuple(domain)
         self._entity_index = {e: i for i, e in enumerate(self.domain)}
         if len(self._entity_index) != len(self.domain):
@@ -118,37 +134,48 @@ class Model:
             raise ModelError("background given but no contexts declared")
         self.background = background
 
+        # One pass per pair: a pair whose names both resolve is well formed
+        # unless it is some other two-item iterable (a string, a dict).
         k = len(ctx_list)
         contexts_at = self._context_index
         self._incompatible: set[int] = set()
-        for a, b in incompatible:
-            if a not in contexts_at or b not in contexts_at:
-                raise ModelError(f"incompatible pair ({a!r}, {b!r}) names an undeclared context")
-            if a == b:
-                raise ModelError(f"context {a!r} cannot be incompatible with itself")
-            i, j = contexts_at[a], contexts_at[b]
-            self._incompatible.add(i * k + j if i < j else j * k + i)
-
-        # Totalize the valuation; unlisted cells default to U.  The count of
-        # defaulted cells is kept for output metadata.
-        given = dict(valuation or {})
-        cells = bytearray([_CHAIN.index(Tv3.UNDET)]) * (k * len(self.predicates) * len(self.domain))
-        for (c, e, p), v in given.items():
-            ci = contexts_at.get(c)
-            if ci is None:
-                raise ModelError(f"valuation names undeclared context {c!r}")
-            ei = self._entity_index.get(e)
-            if ei is None:
-                raise ModelError(f"valuation names undeclared entity {e!r}")
-            pi = self._predicate_index.get(p)
-            if pi is None:
-                raise ModelError(f"valuation names undeclared predicate {p!r}")
+        add = self._incompatible.add
+        for pair in incompatible:
             try:
-                cells[self._column(ci, pi) + ei] = _CHAIN.index(v)
-            except ValueError:
-                raise ModelError(f"valuation of {(c, e, p)!r} is not a truth value: {v!r}") from None
-        self._cells = cells
-        self.defaulted_valuations = len(cells) - len(given)
+                a, b = pair
+                i, j = contexts_at[a], contexts_at[b]
+            except (KeyError, TypeError, ValueError):
+                raise _pair_fault(pair) from None
+            if pair.__class__ is not list and pair.__class__ is not tuple:
+                raise _pair_fault(pair)
+            if i < j:
+                add(i * k + j)
+            elif j < i:
+                add(j * k + i)
+            else:
+                raise ModelError(f"context {a!r} cannot be incompatible with itself")
+        return bytearray([_UNLISTED]) * (k * len(self.predicates) * len(self.domain))
+
+    def _store(self, cells: bytearray) -> None:
+        """Keep the valuation, defaulting every cell no entry listed to U.
+
+        The count of defaulted cells is kept for output metadata.
+        """
+        self.defaulted_valuations = cells.count(_UNLISTED)
+        self._cells = cells.replace(bytes([_UNLISTED]), bytes([_RANK[Tv3.UNDET]]))
+
+    def _cell(self, context, entity, predicate) -> int:
+        """Offset of a valuation cell; raises on an undeclared (hashable) name."""
+        ci = self._context_index.get(context)
+        if ci is None:
+            raise ModelError(f"valuation names undeclared context {context!r}")
+        ei = self._entity_index.get(entity)
+        if ei is None:
+            raise ModelError(f"valuation names undeclared entity {entity!r}")
+        pi = self._predicate_index.get(predicate)
+        if pi is None:
+            raise ModelError(f"valuation names undeclared predicate {predicate!r}")
+        return self._column(ci, pi) + ei
 
     def _column(self, ci: int, pi: int) -> int:
         """Offset of the (context, predicate) column in the valuation cells."""
@@ -171,7 +198,7 @@ class Model:
     def value(self, context: str, entity: str, predicate: str) -> Tv3:
         if context not in self.contexts:
             raise UndeclaredName(f"undeclared context {context!r}")
-        ei = _index_of(self._entity_index, entity)
+        ei = self._entity_index.get(entity)
         if ei is None:
             raise UndeclaredName(f"undeclared entity {entity!r}")
         if predicate not in self._predicate_index:
@@ -198,8 +225,9 @@ class Model:
 
         Unlisted valuation entries default to "U"; the number of defaulted
         cells is available as ``defaulted_valuations`` for output metadata.
-        Every name list must be a JSON array of strings, and every
-        incompatible entry an array of two context names.
+        When a cell is listed more than once, the last row wins.  Every name
+        list must be a JSON array of strings, and every incompatible entry an
+        array of two context names.
         """
         try:
             domain = _names(data["domain"], "'domain'")
@@ -211,22 +239,41 @@ class Model:
             predicates = _names(data["predicates"], "'predicates'")
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed model object: {exc}") from None
-        valuation = {}
-        for row in _array(data.get("valuation", []), "'valuation'"):
-            try:
-                key = (row["context"], row["entity"], row["predicate"])
-                valuation[key] = Tv3.from_str(row["value"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ModelError(f"malformed valuation row {row!r}: {exc}") from None
+        rows = _array(data.get("valuation", []), "'valuation'")
         incompatible = _array(data.get("incompatible", []), "'incompatible'")
-        for pair in incompatible:
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and isinstance(pair[0], str) and isinstance(pair[1], str)):
-                raise ModelError(f"incompatible entry must be a pair of context names, got {pair!r}")
         background = data.get("background")
         if background is not None:
             _name(background, "'background'")
-        return cls(domain, ctx_objs, predicates, valuation, incompatible, background)
+        model = cls.__new__(cls)
+        cells = model._build(domain, ctx_objs, predicates, incompatible, background)
+        # Each row is coded straight into its cell; which check a row fails
+        # is worked out only once one has.
+        contexts_at, entities_at = model._context_index, model._entity_index
+        predicates_at, codes = model._predicate_index, _CODE_OF_TEXT
+        n, p = len(model.domain), len(model.predicates)
+        try:
+            for row in rows:
+                cells[
+                    (contexts_at[row["context"]] * p + predicates_at[row["predicate"]]) * n
+                    + entities_at[row["entity"]]
+                ] = codes[row["value"]]
+        except (KeyError, TypeError):
+            model._raise_row_fault(rows)
+            raise
+        model._store(cells)
+        return model
+
+    def _raise_row_fault(self, rows: list) -> None:
+        """Raise the ModelError for the first JSON valuation row that is
+        malformed or names an undeclared context, entity or predicate."""
+        for row in rows:
+            try:
+                key = (row["context"], row["entity"], row["predicate"])
+                Tv3.from_str(row["value"])
+                hash(key)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ModelError(f"malformed valuation row {row!r}: {exc}") from None
+            self._cell(*key)
 
     def to_json(self) -> dict:
         """Emit the JSON object form with a fully explicit valuation."""
@@ -266,6 +313,15 @@ def _name(value, what: str) -> str:
     if not isinstance(value, str):
         raise ModelError(f"{what} must be a string, got {value!r}")
     return value
+
+
+def _pair_fault(pair) -> ModelError:
+    """The error for an incompatible entry that could not be stored."""
+    if (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and isinstance(pair[0], str) and isinstance(pair[1], str)):
+        a, b = pair
+        return ModelError(f"incompatible pair ({a!r}, {b!r}) names an undeclared context")
+    return ModelError(f"incompatible entry must be a pair of context names, got {pair!r}")
 
 
 def _names(value, what: str) -> list[str]:

@@ -290,6 +290,45 @@ def test_scenario_threshold_rejects_non_finite_numbers(capsys, flags, kind):
     assert "finite" in data["error"]["message"]
 
 
+def test_scenario_threshold_rejects_levels_that_share_a_context_name(capsys):
+    code, out, _ = run_cli(capsys, "scenario", "threshold", "--levels", "0.3,0.2999999")
+    assert code == EX_ERROR
+    data = json.loads(out)
+    assert list(data) == ["error"]
+    assert data["error"]["kind"] == "ValueError"
+    assert "'intensity_0.3'" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("value", ["-1e3", "-2.5E-1", "-.5", "-7"])
+def test_negative_number_after_a_flag_reads_as_its_value(capsys, value):
+    separate = run_cli(capsys, "scenario", "threshold", "--lower-cut", value)
+    joined = run_cli(capsys, "scenario", "threshold", f"--lower-cut={value}")
+    assert separate == joined
+    assert separate[0] == EX_OK
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan"])
+def test_non_finite_negative_cut_is_a_bad_cut_not_a_usage_error(capsys, value):
+    code, out, _ = run_cli(capsys, "scenario", "threshold", "--lower-cut", value)
+    assert code == EX_ERROR
+    error = json.loads(out)["error"]
+    assert error["kind"] == "BadCuts"
+    assert "cuts must be finite" in error["message"]
+
+
+def test_negative_levels_in_exponent_form(capsys):
+    code, out, _ = run_cli(capsys, "scenario", "threshold", "--levels", "-1e-3,0.5")
+    assert code == EX_OK
+    contexts = [j["context"] for j in json.loads(out)["judgments"]]
+    assert contexts == ["intensity_-0.001", "intensity_0.5"]
+
+
+def test_an_unknown_single_dash_option_is_still_a_usage_error(capsys):
+    code, out, _ = run_cli(capsys, "scenario", "threshold", "--lower-cut", "-x")
+    assert code == EX_USAGE
+    assert json.loads(out)["error"]["kind"] == "UsageError"
+
+
 def test_eval_stdin(capsys, monkeypatch, tmp_path, cat_files):
     model, _ = cat_files
     monkeypatch.setattr("sys.stdin", _FakeStdin("forall x. (box_open(x) -> alive(x))\n"))

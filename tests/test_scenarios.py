@@ -281,6 +281,15 @@ def test_threshold_bad_cuts():
         scenario_threshold((0.5, 0.5), 0.3, 0.7)
 
 
+def test_threshold_rejects_levels_that_print_alike():
+    with pytest.raises(ValueError, match="0.3 and 0.2999999 both name context 'intensity_0.3'"):
+        scenario_threshold((0.3, 0.2999999))
+    with pytest.raises(ValueError, match="must be distinct"):
+        scenario_threshold((0.3, 0.3))
+    report = scenario_threshold((0.3, 0.29999))
+    assert [j.context for j in report.judgments] == ["intensity_0.3", "intensity_0.29999"]
+
+
 # -- corpus -------------------------------------------------------------------------
 
 
