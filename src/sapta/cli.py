@@ -281,7 +281,7 @@ def _cmd_eval(args) -> int:
     model = _load_model(args.model)
     results = []
     for path in args.paths:
-        for nf in parse_formula_file(_read(path), contexts=model.contexts, require_closed=True):
+        for nf in parse_formula_file(_read(path), require_closed=True):
             value = evaluate(nf.formula, model, incompat_mode=args.incompat)
             results.append(
                 {

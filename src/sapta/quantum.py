@@ -48,15 +48,21 @@ __all__ = [
 TOL = 1e-12
 
 
+def _check_finite(values, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite numbers")
+
+
 class StateVector:
     """A finite complex amplitude vector over distinct basis labels.
 
-    Amplitudes are normalized on construction (a zero vector is rejected),
-    stored as an immutable complex128 array.
+    Amplitudes are normalized on construction (a zero vector and non-finite
+    amplitudes are rejected), stored as an immutable complex128 array.
     """
 
     def __init__(self, amplitudes, labels):
         amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
+        _check_finite(amps, "amplitudes")
         labels = tuple(labels)
         if len(labels) != amps.size:
             raise ValueError(f"{amps.size} amplitudes but {len(labels)} labels")
@@ -96,12 +102,13 @@ class StateVector:
 
 
 class Operator:
-    """A square complex matrix acting on a state of matching dimension."""
+    """A square, finite complex matrix acting on a state of matching dimension."""
 
     def __init__(self, matrix, label: str = ""):
         mat = np.asarray(matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
+        _check_finite(mat, "operator entries")
         mat = mat.copy()
         mat.flags.writeable = False
         self.matrix = mat

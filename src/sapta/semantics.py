@@ -24,11 +24,12 @@ from .formulas import (
     Not,
     Or,
     PredicateApp,
+    atom_name,
     free_variables,
 )
-# Truth values are coded by their rank on the chain F < U < T, so conjunction
-# and disjunction are min and max, and negation is 2 - x.
-from .trivalent import _CHAIN, _RANK, Tv3
+# Truth values are coded by their rank on the chain F < U < T; the compiled
+# connectives read trivalent's tables.
+from .trivalent import _CHAIN, _RANK, AND, IFF, IMPL, NOT, OR, Tv3
 
 __all__ = [
     "ContextDef",
@@ -393,6 +394,9 @@ def _const(code: int):
     return lambda env: code
 
 
+_TABLES = {And: AND, Or: OR, Implies: IMPL, Iff: IFF}
+
+
 class _Compiler:
     """Compiles a formula against one model into a closure ``run(env) -> code``.
 
@@ -418,29 +422,17 @@ class _Compiler:
                 if pair is not None:
                     return _const(2 if m.incompatible(*pair) else 0)
             a = self.compile(f.operand, scope, ctx)
-            return lambda env: 2 - a(env)
-        if isinstance(f, Implies):
-            guard = _guard_context(m, f.left)
+            return lambda env: NOT[a(env)]
+        table = _TABLES.get(type(f))
+        if table is not None:
             a = self.compile(f.left, scope, ctx)
-            # Innermost guard wins: the consequent is read in the guard's context.
-            b = self.compile(f.right, scope, guard or ctx)
-            return lambda env: max(2 - a(env), b(env))
-        if isinstance(f, (And, Or, Iff)):
-            a = self.compile(f.left, scope, ctx)
+            if isinstance(f, Implies):
+                # Innermost guard wins: the consequent is read in the guard's context.
+                ctx = _guard_context(m, f.left) or ctx
             b = self.compile(f.right, scope, ctx)
-            if isinstance(f, And):
-                return lambda env: min(a(env), b(env))
-            if isinstance(f, Or):
-                return lambda env: max(a(env), b(env))
-
-            def iff(env):
-                x, y = a(env), b(env)
-                return min(max(2 - x, y), max(2 - y, x))
-
-            return iff
+            return lambda env: table[a(env)][b(env)]
         if isinstance(f, (ForAll, Exists)):
-            forall = isinstance(f, ForAll)
-            unit = 2 if forall else 0
+            table, unit, absorbing = (AND, 2, 0) if isinstance(f, ForAll) else (OR, 0, 2)
             if not m.domain:
                 return _const(unit)
             # Past every slot in scope, so a variable this one shadows keeps its own.
@@ -449,13 +441,13 @@ class _Compiler:
             body = self.compile(f.body, {**scope, f.var: slot}, ctx)
             if f.var not in free_variables(f.body):
                 return body  # a fold of N equal values is that value
-            pick, absorbing, domain = (min if forall else max), 2 - unit, range(len(m.domain))
+            domain = range(len(m.domain))
 
             def fold(env):
                 out = unit
                 for e in domain:
                     env[slot] = e
-                    out = pick(out, body(env))
+                    out = table[out][body(env)]
                     if out == absorbing:
                         break
                 return out
@@ -465,7 +457,7 @@ class _Compiler:
 
     def atom(self, f: PredicateApp | ContextGuard, scope: dict[str, int], ctx: str | None):
         m = self.model
-        name = f.context if isinstance(f, ContextGuard) else f.name
+        name = atom_name(f)
         slot = scope.get(f.var)
         if slot is None:
             if f.var not in self.env:
@@ -507,9 +499,10 @@ def check_incompatibility(
     """Decide whether two contexts are mutually incompatible.
 
     Relational mode reads the model's declared relation.  Extensional mode
-    compares the guard extensions: with ``quantifier="exists"`` (default)
-    the contexts are incompatible when at least one entity distinguishes
-    them; with ``quantifier="forall"`` every entity must distinguish them.
+    evaluates the clause ``~(c1(x) <-> c2(x))`` from the guard extensions,
+    quantified by ``quantifier``: under ``"exists"`` (default) the contexts
+    are incompatible when at least one entity distinguishes them; under
+    ``"forall"`` every entity must distinguish them.
     """
     for c in (c1, c2):
         if not model.is_context(c):
@@ -520,11 +513,9 @@ def check_incompatibility(
         raise ValueError(f"mode must be 'relational' or 'extensional', got {mode!r}")
     if quantifier not in ("exists", "forall"):
         raise ValueError(f"quantifier must be 'exists' or 'forall', got {quantifier!r}")
-    e1, e2 = model.extension(c1), model.extension(c2)
-    differs = [(e in e1) != (e in e2) for e in model.domain]
-    if quantifier == "exists":
-        return Tv3.from_bool(any(differs))
-    return Tv3.from_bool(all(differs))
+    clause = Not(Iff(ContextGuard(c1, "x"), ContextGuard(c2, "x")))
+    quantified = Exists("x", clause) if quantifier == "exists" else ForAll("x", clause)
+    return evaluate(quantified, model, incompat_mode="extensional")
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +529,8 @@ def _conjuncts(f: Formula) -> list[Formula]:
 
 
 def _atom_over(f: Formula, var: str) -> str | None:
-    if isinstance(f, PredicateApp) and f.var == var:
-        return f.name
-    if isinstance(f, ContextGuard) and f.var == var:
-        return f.context
-    return None
+    name = atom_name(f)
+    return name if name is not None and f.var == var else None
 
 
 def guard_of(f: Formula) -> list[tuple[str, Formula]]:

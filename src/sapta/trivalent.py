@@ -1,15 +1,19 @@
 """Three truth values and the strong-Kleene connectives over them.
 
 Inside a single context a proposition is true (T), false (F), or
-indeterminate (U).  The connectives follow the strong Kleene tables, with
-implication defined materially; ``impl3`` is the single place to swap in an
-alternative implication table.  Values and operations are immutable and
-pure, so they are safe to share across threads.
+indeterminate (U).  Each connective is defined once, as a table indexed by
+a value's rank on the chain F < U < T (F, U, T = 0, 1, 2): negation is
+``2 - x``, conjunction ``min`` and disjunction ``max``; implication is
+material, ``OR[NOT[a]][b]``, and the biconditional is implication both ways.
+These tables are the only definition of the connectives: the ``neg3`` ...
+``iff3`` functions and ``semantics.evaluate`` both read them, so replacing
+``IMPL`` (and with it ``IFF``) changes ``impl3``, ``iff3`` and ``evaluate``
+together.  Values and tables are immutable, so they are safe to share
+across threads.
 """
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
 
 __all__ = [
     "Tv3",
@@ -18,8 +22,11 @@ __all__ = [
     "disj3",
     "impl3",
     "iff3",
-    "conj_all",
-    "disj_any",
+    "NOT",
+    "AND",
+    "OR",
+    "IMPL",
+    "IFF",
     "CONNECTIVES",
     "IMPLICATION",
 ]
@@ -60,56 +67,41 @@ _BY_TEXT = {v.value: v for v in Tv3}
 # join; a value's rank is its position on the chain.
 _CHAIN = (Tv3.FALSE, Tv3.UNDET, Tv3.TRUE)
 _RANK = {v: rank for rank, v in enumerate(_CHAIN)}
+_RANKS = range(len(_CHAIN))
+
+
+def _table(op) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(op(a, b) for b in _RANKS) for a in _RANKS)
+
+
+NOT = tuple(2 - a for a in _RANKS)
+AND = _table(min)
+OR = _table(max)
+# U -> U is U under these tables (not T as in Lukasiewicz).
+IMPL = _table(lambda a, b: OR[NOT[a]][b])
+IFF = _table(lambda a, b: AND[IMPL[a][b]][IMPL[b][a]])
 
 
 def neg3(a: Tv3) -> Tv3:
     """Negation: swaps T and F, fixes U."""
-    if a is Tv3.TRUE:
-        return Tv3.FALSE
-    if a is Tv3.FALSE:
-        return Tv3.TRUE
-    return Tv3.UNDET
+    return _CHAIN[NOT[_RANK[a]]]
 
 
 def conj3(a: Tv3, b: Tv3) -> Tv3:
     """Conjunction: F dominates, U absorbs T."""
-    return a if _RANK[a] <= _RANK[b] else b
+    return _CHAIN[AND[_RANK[a]][_RANK[b]]]
 
 
 def disj3(a: Tv3, b: Tv3) -> Tv3:
     """Disjunction: T dominates, U absorbs F."""
-    return a if _RANK[a] >= _RANK[b] else b
+    return _CHAIN[OR[_RANK[a]][_RANK[b]]]
 
 
 def impl3(a: Tv3, b: Tv3) -> Tv3:
-    """Material implication, defined as ``disj3(neg3(a), b)``.
-
-    Note U -> U is U under these tables (not T as in Lukasiewicz); swap the
-    body here to change that convention package-wide.
-    """
-    return disj3(neg3(a), b)
+    """Implication, read from ``IMPL``."""
+    return _CHAIN[IMPL[_RANK[a]][_RANK[b]]]
 
 
 def iff3(a: Tv3, b: Tv3) -> Tv3:
-    """Biconditional: implication both ways."""
-    return conj3(impl3(a, b), impl3(b, a))
-
-
-def conj_all(values: Iterable[Tv3]) -> Tv3:
-    """Fold conjunction over an iterable; empty input yields T."""
-    out = Tv3.TRUE
-    for v in values:
-        out = conj3(out, v)
-        if out is Tv3.FALSE:  # absorbing
-            break
-    return out
-
-
-def disj_any(values: Iterable[Tv3]) -> Tv3:
-    """Fold disjunction over an iterable; empty input yields F."""
-    out = Tv3.FALSE
-    for v in values:
-        out = disj3(out, v)
-        if out is Tv3.TRUE:  # absorbing
-            break
-    return out
+    """Biconditional, read from ``IFF``."""
+    return _CHAIN[IFF[_RANK[a]][_RANK[b]]]

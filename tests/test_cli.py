@@ -159,6 +159,24 @@ def test_parse_dumps_ast(capsys, tmp_path):
     assert entry["ast"]["node"] == "ForAll"
 
 
+def test_parse_text_format_labels_by_name_or_path_line(capsys, tmp_path):
+    src = tmp_path / "f.lgc"
+    src.write_text("# comment\nlet s1 = forall x. (c(x) -> p(x))\n\n~(p(x) & q(x))\n")
+    code, out, _ = run_cli(capsys, "parse", str(src), "--format", "text")
+    assert code == EX_OK
+    assert out == f"s1: forall x. (c(x) -> p(x))\n{src}:4: ~(p(x) & q(x))\n"
+
+
+def test_eval_text_format_labels_by_name_or_path_line(capsys, tmp_path, cat_files):
+    model, _ = cat_files
+    src = tmp_path / "f.lgc"
+    src.write_text("let opened = forall x. (box_open(x) -> alive(x))\nexists x. alive(x)\n")
+    code, out, _ = run_cli(capsys, "eval", str(src), "--model", str(model), "--format", "text")
+    assert code == EX_OK
+    # Outside any guard alive(x) is read in the background context box_closed.
+    assert out == f"opened: T\n{src}:2: U\n"
+
+
 def test_bad_flags_exit_64(capsys):
     code, out, err = run_cli(capsys, "scenario", "heisenberg")
     assert code == EX_USAGE
@@ -257,6 +275,20 @@ def test_scenario_double_slit_subset(capsys):
     code, out, _ = run_cli(capsys, "scenario", "double_slit", "--no-two-slits-unobserved")
     assert code == EX_OK
     assert json.loads(out)["expectedClass"]["class"] == "P4"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_scenario_double_slit_with_every_context_off_is_degenerate(capsys, fmt):
+    off = ["--no-one-slit-observed", "--no-one-slit-unobserved", "--no-two-slits-unobserved"]
+    code, out, err = run_cli(capsys, "scenario", "double_slit", *off, "--format", fmt)
+    assert code == EX_OK and err == ""
+    if fmt == "text":
+        assert out.splitlines()[:2] == ["scenario: double_slit", "expected: Degenerate"]
+        return
+    data = json.loads(out)
+    assert data["judgments"] == []
+    assert data["expectedClass"] == {"class": "Degenerate", "contexts": []}
+    assert data["model"]["contexts"] == [] and data["model"]["background"] is None
 
 
 def test_scenario_threshold_flags(capsys):

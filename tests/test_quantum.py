@@ -1,5 +1,6 @@
 """State vectors, inner products, tensor products, weak values."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ def test_rejects_zero_vector_and_bad_labels():
         StateVector([1, 0], ("a", "a"))
     with pytest.raises(ValueError):
         StateVector([1, 0, 0], ("a", "b"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(0, float("nan"))])
+def test_rejects_non_finite_entries(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        with pytest.raises(ValueError, match="must be finite"):
+            StateVector([bad, 1], ("a", "b"))
+        with pytest.raises(ValueError, match="must be finite"):
+            Operator([[bad, 0], [0, 1]])
 
 
 def test_amplitudes_immutable():

@@ -21,6 +21,7 @@ from sapta.formulas import (
 from sapta.parser import parse
 from sapta.semantics import ContextDef, Model, check_incompatibility, evaluate, guard_of
 from sapta.trivalent import Tv3
+from sapta.trivalent import conj3, disj3, iff3, impl3, neg3
 
 T, F, U = Tv3.TRUE, Tv3.FALSE, Tv3.UNDET
 
@@ -51,10 +52,29 @@ def test_model_rejects_duplicates_and_strays():
         simple_model(domain=["a", "a"])
     with pytest.raises(ModelError):
         simple_model(contexts=[ContextDef("c1", {"zz"}), ContextDef("c2")])
+    with pytest.raises(ModelError, match="duplicate context names"):
+        simple_model(contexts=[ContextDef("c1", {"a"}), ContextDef("c1", {"b"})])
     with pytest.raises(ModelError):
         simple_model(predicates=["p", "p"])
     with pytest.raises(ModelError):
         simple_model(predicates=["p", "c1"])  # context/predicate names overlap
+
+
+@pytest.mark.parametrize("args, message", [
+    (("zz", "a", "p"), "undeclared context 'zz'"),
+    (("c1", "zz", "p"), "undeclared entity 'zz'"),
+    (("c1", "a", "zz"), "undeclared predicate 'zz'"),
+])
+def test_value_rejects_undeclared_names(args, message):
+    with pytest.raises(UndeclaredName, match=message):
+        simple_model().value(*args)
+
+
+def test_extension_lookup():
+    m = simple_model()
+    assert m.extension("c2") == frozenset({"a", "b"})
+    with pytest.raises(UndeclaredName, match="undeclared context 'zz'"):
+        m.extension("zz")
 
 
 @pytest.mark.parametrize("value", ["T", 2, None, ["T"], True])
@@ -242,6 +262,17 @@ def test_incompat_clause_modes():
     clause = Not(Iff(ContextGuard("c1", "x"), ContextGuard("c2", "x")))
     assert evaluate(ForAll("x", clause), m2, incompat_mode="extensional") is T
     assert evaluate(ForAll("x", clause), m2, incompat_mode="relational") is F
+
+
+def test_connectives_evaluate_as_the_trivalent_functions():
+    # One entity whose p and q take every pair of values, read in the background.
+    p, q = PredicateApp("p", "x"), PredicateApp("q", "x")
+    for a, b in itertools.product((T, F, U), repeat=2):
+        m = Model(["e"], [ContextDef("c", {"e"})], ["p", "q"],
+                  valuation={("c", "e", "p"): a, ("c", "e", "q"): b}, background="c")
+        for node, fn in ((And, conj3), (Or, disj3), (Implies, impl3), (Iff, iff3)):
+            assert evaluate(ForAll("x", node(p, q)), m) is fn(a, b), (node.__name__, a, b)
+        assert evaluate(ForAll("x", Not(p)), m) is neg3(a)
 
 
 def test_background_column_used_outside_guards():
@@ -480,6 +511,20 @@ def test_check_incompatibility_modes():
     assert check_incompatibility(m, "left", "same2", "extensional", quantifier="forall") is F
     with pytest.raises(UndeclaredName):
         check_incompatibility(m, "left", "zz")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_extensional_incompatibility_against_extension_oracle(n):
+    # Every pair of extensions over an n-entity domain: an entity distinguishes
+    # the contexts when it lies in exactly one of the two extensions.
+    domain = [f"e{i}" for i in range(n)]
+    subsets = [frozenset(s) for r in range(n + 1) for s in itertools.combinations(domain, r)]
+    for ext1, ext2 in itertools.product(subsets, repeat=2):
+        m = Model(domain, [ContextDef("c1", ext1), ContextDef("c2", ext2)], [], background="c1")
+        differs = [(e in ext1) != (e in ext2) for e in domain]
+        for quantifier, oracle in (("exists", any), ("forall", all)):
+            got = check_incompatibility(m, "c1", "c2", "extensional", quantifier=quantifier)
+            assert got is Tv3.from_bool(oracle(differs)), (ext1, ext2, quantifier)
 
 
 # -- guard_of ------------------------------------------------------------------

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from sapta.trivalent import Tv3, conj3, conj_all, disj3, disj_any, iff3, impl3, neg3
+from sapta.trivalent import Tv3, conj3, disj3, iff3, impl3, neg3
 
 T, F, U = Tv3.TRUE, Tv3.FALSE, Tv3.UNDET
 ALL = (T, F, U)
@@ -92,12 +92,3 @@ def test_iff_table():
     assert iff3(T, T) is T
     assert iff3(T, F) is F
     assert iff3(U, U) is U
-
-
-def test_folds():
-    assert conj_all([]) is T
-    assert disj_any([]) is F
-    assert conj_all([T, U, T]) is U
-    assert conj_all([T, F, U]) is F
-    assert disj_any([F, U]) is U
-    assert disj_any([F, T, U]) is T
