@@ -34,7 +34,6 @@ from .formulas import (
     SourceSpan,
     ast_to_dict,
     free_variables,
-    mark_contexts,
     pretty,
     schema,
     undet_name,

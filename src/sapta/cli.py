@@ -17,7 +17,7 @@ import sys
 from json.encoder import encode_basestring
 
 from . import trivalent
-from .errors import ParseError, SaptaError
+from .errors import ModelError, ParseError, SaptaError
 from .formulas import ast_to_dict, pretty
 from .parser import parse_formula_file
 from .predication import (
@@ -30,6 +30,7 @@ from .predication import (
 from .semantics import Model, evaluate
 from .scenarios import (
     CORPUS_ORDER,
+    MAX_LEVELS,
     SCENARIO_NAMES,
     run_corpus,
     scenario_cat,
@@ -111,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scenario.add_argument("--friend-outcome", choices=("up", "down"), default="up")
     p_scenario.add_argument("--basis", choices=("zero_one", "plus_minus"), default="zero_one")
     p_scenario.add_argument(
-        "--levels", default="0.1,0.5,0.9", help="threshold: comma-separated intensities"
+        "--levels", default="0.1,0.5,0.9",
+        help=f"threshold: comma-separated intensities, at most {MAX_LEVELS}",
     )
     p_scenario.add_argument("--lower-cut", type=float, default=0.3)
     p_scenario.add_argument("--upper-cut", type=float, default=0.7)
@@ -233,8 +235,16 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _read_json(path: str):
+    text = _read(path)
+    try:
+        return json.loads(text)
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ModelError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_model(path: str) -> Model:
-    return Model.from_json(json.loads(_read(path)))
+    return Model.from_json(_read_json(path))
 
 
 def _model_metadata(model: Model) -> dict:
@@ -308,7 +318,7 @@ def _cmd_classify(args) -> int:
     if path is None or (args.judgments_path and args.judgments):
         raise SaptaError("give the judgment file either positionally or via --judgments")
     model = _load_model(args.model)
-    judgments = judgments_from_json(json.loads(_read(path)))
+    judgments = judgments_from_json(_read_json(path))
     predicate = args.predicate
     if predicate is None:
         names = sorted({j.predicate for j in judgments})

@@ -16,6 +16,7 @@ from .errors import ArityMismatch, DuplicateContext
 __all__ = [
     "SourceSpan",
     "Formula",
+    "OPERATORS",
     "PredicateApp",
     "ContextGuard",
     "Not",
@@ -26,7 +27,6 @@ __all__ = [
     "ForAll",
     "Exists",
     "free_variables",
-    "mark_contexts",
     "ast_to_dict",
     "pretty",
     "undet_name",
@@ -131,6 +131,23 @@ _QUANT = (ForAll, Exists)
 _ATOMIC = (PredicateApp, ContextGuard)
 
 
+# The one definition of the connectives' concrete syntax, read by the lexer,
+# the parser and the printer.  A row holds the token kind, the node class,
+# the ASCII spelling (the one the printer writes), the Unicode alias and the
+# grouping: "right" or "left" for a binary connective, "prefix" otherwise.
+# The binary connectives come first, loosest first, and a row's position is
+# its precedence level; the prefix operators bind tighter than all of them.
+OPERATORS = (
+    ("iff", Iff, "<->", "↔", "right"),
+    ("implies", Implies, "->", "→", "right"),
+    ("or", Or, "|", "∨", "left"),
+    ("and", And, "&", "∧", "left"),
+    ("not", Not, "~", "¬", "prefix"),
+    ("forall", ForAll, "forall", "∀", "prefix"),
+    ("exists", Exists, "exists", "∃", "prefix"),
+)
+
+
 def atom_name(f: Formula) -> str | None:
     """Name of a unary atom, or None for non-atoms."""
     if isinstance(f, PredicateApp):
@@ -157,28 +174,6 @@ def free_variables(f: Formula) -> frozenset[str]:
     return walk(f, frozenset())
 
 
-def mark_contexts(f: Formula, context_names: Iterable[str]) -> Formula:
-    """Rewrite predicate atoms whose name is a known context into guards."""
-    names = frozenset(context_names)
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, PredicateApp):
-            if g.name in names:
-                return ContextGuard(g.name, g.var, g.span)
-            return g
-        if isinstance(g, ContextGuard):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.operand), g.span)
-        if isinstance(g, _BINARY):
-            return type(g)(walk(g.left), walk(g.right), g.span)
-        if isinstance(g, _QUANT):
-            return type(g)(g.var, walk(g.body), g.span)
-        raise TypeError(f"not a formula node: {g!r}")
-
-    return walk(f)
-
-
 def ast_to_dict(f: Formula) -> dict:
     """JSON-friendly structural dump (spans omitted)."""
     if isinstance(f, PredicateApp):
@@ -201,15 +196,21 @@ def ast_to_dict(f: Formula) -> dict:
 # ---------------------------------------------------------------------------
 # Pretty-printing.
 #
-# Canonical form: minimal parentheses consistent with the grammar's
-# precedence (~ > & > | > -> > <->, arrows right-associative), except that a
-# quantifier body that is a binary connective is always parenthesized.  A
-# quantifier extends maximally to the right, so any subtree ending in an
-# unparenthesized quantifier must be wrapped when something follows it.
+# Canonical form: minimal parentheses consistent with the precedence and
+# grouping in OPERATORS (~ > & > | > -> > <->, arrows grouping to the right),
+# except that a quantifier body that is a binary connective is always
+# parenthesized.  A quantifier extends maximally to the right, so any subtree
+# ending in an unparenthesized quantifier must be wrapped when something
+# follows it.
 
-_LEVEL = {Iff: 1, Implies: 2, Or: 3, And: 4}
-_OPTEXT = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
-_UNARY_LEVEL = 5  # ~, quantifiers, atoms
+# Binary node class -> (precedence level, spelling, groups to the right).
+_INFIX = {
+    node: (level, text, assoc == "right")
+    for level, (_, node, text, _, assoc) in enumerate(OPERATORS, 1)
+    if assoc != "prefix"
+}
+_UNARY_LEVEL = len(_INFIX) + 1  # ~, quantifiers, atoms
+_PREFIX = {node: text for _, node, text, _, assoc in OPERATORS if assoc == "prefix"}
 
 
 def pretty(f: Formula) -> str:
@@ -225,24 +226,22 @@ def _render(f: Formula, min_level: int, allow_open: bool) -> str:
     if isinstance(f, _ATOMIC):
         return f"{atom_name(f)}({f.var})"
     if isinstance(f, Not):
-        return "~" + _render(f.operand, _UNARY_LEVEL, allow_open)
+        return _PREFIX[Not] + _render(f.operand, _UNARY_LEVEL, allow_open)
     if isinstance(f, _QUANT):
-        kw = "forall" if isinstance(f, ForAll) else "exists"
         if isinstance(f.body, _BINARY):
             inner = "(" + _render(f.body, 1, True) + ")"
         else:
             inner = _render(f.body, _UNARY_LEVEL, True)
-        s = f"{kw} {f.var}. {inner}"
+        s = f"{_PREFIX[type(f)]} {f.var}. {inner}"
         return s if allow_open else "(" + s + ")"
     if isinstance(f, _BINARY):
-        level = _LEVEL[type(f)]
-        right_assoc = isinstance(f, (Implies, Iff))
+        level, text, right_assoc = _INFIX[type(f)]
         left_min = level + 1 if right_assoc else level
         right_min = level if right_assoc else level + 1
         needs_paren = level < min_level
         left = _render(f.left, left_min, False)
         right = _render(f.right, right_min, allow_open or needs_paren)
-        s = f"{left} {_OPTEXT[type(f)]} {right}"
+        s = f"{left} {text} {right}"
         return "(" + s + ")" if needs_paren else s
     raise TypeError(f"not a formula node: {f!r}")
 

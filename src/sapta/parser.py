@@ -1,17 +1,19 @@
-"""Lexer and recursive-descent parser for the formula language.
+"""Lexer and precedence-climbing parser for the formula language.
 
 Grammar (ASCII surface syntax; Unicode aliases accepted by the lexer):
 
-    formula := iff ;  iff := impl ("<->" iff)? ;  impl := or ("->" impl)? ;
-    or := and ("|" and)* ;  and := unary ("&" unary)* ;
+    formula := unary (BINOP unary)* ;
     unary := "~" unary | quant | atom ;
     quant := ("forall"|"exists") IDENT "." formula ;
     atom := IDENT "(" IDENT ")" | "(" formula ")" ;
     IDENT := [A-Za-z_][A-Za-z0-9_]*
 
-Whitespace is insignificant; "#" starts a line comment.  Precedence is
-~ > & > | > -> > <->, the arrows are right-associative, and a quantifier
-extends maximally to the right.  The parser is stateless and reentrant.
+``formulas.OPERATORS`` is the one definition of the operators' concrete
+syntax, read by the lexer, this parser and ``pretty``: BINOP is <->, ->, |
+or &, loosest first, the arrows grouping to the right.  ~ binds tighter,
+and a quantifier extends maximally to the right.  Whitespace is
+insignificant; "#" starts a line comment.  The parser is stateless and
+reentrant.
 """
 from __future__ import annotations
 
@@ -22,18 +24,13 @@ from typing import Iterable, NamedTuple
 
 from .errors import ParseError, UnboundVariable
 from .formulas import (
-    And,
-    Exists,
-    ForAll,
+    OPERATORS,
+    ContextGuard,
     Formula,
-    Iff,
-    Implies,
     Not,
-    Or,
     PredicateApp,
     SourceSpan,
     free_variables,
-    mark_contexts,
 )
 
 __all__ = ["parse", "parse_formula_file", "NamedFormula", "tokenize", "Token"]
@@ -45,50 +42,41 @@ class Token(NamedTuple):
     span: SourceSpan
 
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_PUNCTUATION = {"(": "lparen", ")": "rparen", ".": "dot"}
+
 # Token kind per lexeme; any other identifier is an "ident".
-_KIND = {
-    "<->": "iff",
-    "->": "implies",
-    "~": "not",
-    "&": "and",
-    "|": "or",
-    "(": "lparen",
-    ")": "rparen",
-    ".": "dot",
-    "forall": "forall",
-    "exists": "exists",
-    "¬": "not",
-    "∧": "and",
-    "∨": "or",
-    "→": "implies",
-    "↔": "iff",
-    "∀": "forall",
-    "∃": "exists",
-}
+_KIND = {text: kind for kind, _, plain, alias, _ in OPERATORS for text in (plain, alias)} | _PUNCTUATION
+
+# The lexemes that are not identifiers (`forall` is lexed as one), longest
+# first; the single characters are matched as one class.
+_SYMBOLS = sorted(
+    (text for text in _KIND if not (text.isascii() and text.isidentifier())), key=len, reverse=True
+)
+_LONG = "|".join(re.escape(text) for text in _SYMBOLS if len(text) > 1)
+_CHARS = re.escape("".join(text for text in _SYMBOLS if len(text) == 1))
 
 # One match per lexeme: the whitespace before it (newlines excepted), then
 # an identifier or operator, a newline, a comment, an unexpected character,
 # or the end of the text.  Each alternative starts with a different class of
 # character, so no match backtracks.
-_LEXEME = re.compile(
-    r"([^\S\n]*)"
-    r"(?:([A-Za-z_][A-Za-z0-9_]*|<->|->|[~&|().¬∧∨→↔∀∃])|(\n)|(#[^\n]*)|(\S)|\Z)"
-)
+_LEXEME = re.compile(rf"([^\S\n]*)(?:({_IDENT}|{_LONG}|[{_CHARS}])|(\n)|(#[^\n]*)|(\S)|\Z)")
 
 _DESCRIPTION = {
-    "not": "'~'",
-    "and": "'&'",
-    "or": "'|'",
-    "implies": "'->'",
-    "iff": "'<->'",
-    "lparen": "'('",
-    "rparen": "')'",
-    "dot": "'.'",
-    "forall": "'forall'",
-    "exists": "'exists'",
+    **{kind: f"'{plain}'" for kind, _, plain, _, _ in OPERATORS},
+    **{kind: f"'{text}'" for text, kind in _PUNCTUATION.items()},
     "ident": "identifier",
     "eof": "end of input",
 }
+
+# Binary connective kind -> (precedence level, node class, groups to the right).
+_INFIX = {
+    kind: (level, node, assoc == "right")
+    for level, (kind, node, _, _, assoc) in enumerate(OPERATORS, 1)
+    if assoc != "prefix"
+}
+_PREFIX = {kind: node for kind, node, _, _, assoc in OPERATORS if assoc == "prefix"}
+_OPERAND_START = {*_PREFIX, "lparen", "ident"}
 
 
 def tokenize(text: str, *, line: int = 1, column: int = 1, offset: int = 0) -> list[Token]:
@@ -137,8 +125,8 @@ def tokenize(text: str, *, line: int = 1, column: int = 1, offset: int = 0) -> l
 # Deepest nesting the parser accepts: at most this many constructs (`~`,
 # quantifiers, parentheses, arrows) open at once, and at most this many
 # nodes from the root of the tree to any leaf.  The first bounds the
-# parser's own recursion; the second every AST walker (printing, context
-# marking, evaluation), which recurses down the tree.
+# parser's own recursion; the second every AST walker (printing, JSON
+# dumping, free variables, evaluation), which recurses down the tree.
 MAX_DEPTH = 100
 
 
@@ -159,12 +147,14 @@ def _check_height(f: Formula) -> None:
 
 
 class _Parser:
-    """Recursive descent over the token list; `kinds` is the tokens' kinds,
-    read by index so that most tokens are never touched as objects."""
+    """Precedence climbing over the token list; `kinds` is the tokens' kinds,
+    read by index so that most tokens are never touched as objects.  Atoms
+    named in `contexts` become guards."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], contexts: frozenset[str]):
         self.tokens = tokens
         self.kinds = [tok.kind for tok in tokens]
+        self.contexts = contexts
         self.pos = 0
         self.depth = 0  # constructs open around the current token
         self.operators = 0  # operators, quantifiers and parentheses read
@@ -186,49 +176,33 @@ class _Parser:
             found=found,
         )
 
-    def nested(self, tok: Token, production) -> Formula:
+    def nested(self, tok: Token, production, *args) -> Formula:
         """Parse the sub-formula `tok` opens, one nesting level down."""
         if self.depth == MAX_DEPTH:
             raise _too_deep(tok.span)
         self.depth += 1
         self.operators += 1
-        node = production()
+        node = production(*args)
         self.depth -= 1
         return node
 
-    def formula(self) -> Formula:
-        left = self.impl()
-        if self.kinds[self.pos] == "iff":
-            self.pos += 1
-            right = self.nested(self.tokens[self.pos - 1], self.formula)
-            return Iff(left, right, _join(left, right))
-        return left
-
-    def impl(self) -> Formula:
-        left = self.or_()
-        if self.kinds[self.pos] == "implies":
-            self.pos += 1
-            right = self.nested(self.tokens[self.pos - 1], self.impl)
-            return Implies(left, right, _join(left, right))
-        return left
-
-    def or_(self) -> Formula:
-        node = self.and_()
-        while self.kinds[self.pos] == "or":
-            self.pos += 1
-            self.operators += 1
-            rhs = self.and_()
-            node = Or(node, rhs, _join(node, rhs))
-        return node
-
-    def and_(self) -> Formula:
+    def formula(self, level: int = 1) -> Formula:
+        """Parse operands joined by connectives binding at `level` or tighter:
+        one grouping to the right takes the rest one nesting level down, one
+        grouping to the left loops."""
         node = self.unary()
-        while self.kinds[self.pos] == "and":
+        while True:
+            row = _INFIX.get(self.kinds[self.pos])
+            if row is None or row[0] < level:
+                return node
+            op_level, cls, right_assoc = row
             self.pos += 1
-            self.operators += 1
-            rhs = self.unary()
-            node = And(node, rhs, _join(node, rhs))
-        return node
+            if right_assoc:
+                rhs = self.nested(self.tokens[self.pos - 1], self.formula, op_level)
+            else:
+                self.operators += 1
+                rhs = self.formula(op_level + 1)
+            node = cls(node, rhs, _join(node, rhs))
 
     def unary(self) -> Formula:
         kinds, pos = self.kinds, self.pos
@@ -244,25 +218,26 @@ class _Parser:
             self.pos = pos + 4
             name, _, var, close = self.tokens[pos : pos + 4]
             start, _, line, column = name.span
-            return PredicateApp(name.text, var.text, SourceSpan(start, close.span.end, line, column))
+            cls = ContextGuard if name.text in self.contexts else PredicateApp
+            return cls(name.text, var.text, SourceSpan(start, close.span.end, line, column))
         tok = self.tokens[pos]
-        if kind == "not":
+        cls = _PREFIX.get(kind)
+        if cls is Not:
             self.pos += 1
             operand = self.nested(tok, self.unary)
             return Not(operand, _extend(tok.span, operand))
-        if kind in ("forall", "exists"):
+        if cls is not None:  # a quantifier
             self.pos += 1
             var = self.expect("ident")
             self.expect("dot")
             body = self.nested(tok, self.formula)
-            cls = ForAll if kind == "forall" else Exists
             return cls(var.text, body, _extend(tok.span, body))
         if kind == "lparen":
             self.pos += 1
             inner = self.nested(tok, self.formula)
             self.expect("rparen")
             return inner
-        self.fail({"not", "forall", "exists", "lparen", "ident"})
+        self.fail(_OPERAND_START)
         raise AssertionError("unreachable")
 
 
@@ -275,16 +250,13 @@ def _extend(start: SourceSpan, node: Formula) -> SourceSpan:
     return SourceSpan(start.start, node.span.end, start.line, start.column)
 
 
-def _parse_tokens(tokens: list[Token], contexts: Iterable[str], require_closed: bool) -> Formula:
-    parser = _Parser(tokens)
+def _parse_tokens(tokens: list[Token], contexts: frozenset[str], require_closed: bool) -> Formula:
+    parser = _Parser(tokens, contexts)
     f = parser.formula()
     if parser.kinds[parser.pos] != "eof":
         parser.fail({"eof"})
     if parser.operators >= MAX_DEPTH:  # fewer cannot build a deeper tree
         _check_height(f)
-    names = frozenset(contexts)
-    if names:
-        f = mark_contexts(f, names)
     if require_closed:
         fv = free_variables(f)
         if fv:
@@ -301,11 +273,11 @@ def parse(
     """Parse formula text into an AST.
 
     The grammar cannot distinguish guards from content predicates, so atoms
-    parse as ``PredicateApp``; names listed in ``contexts`` are rewritten to
-    ``ContextGuard``.  With ``require_closed``, a remaining free variable
+    parse as ``PredicateApp``, except that atoms named in ``contexts`` parse
+    as ``ContextGuard``.  With ``require_closed``, a remaining free variable
     raises :class:`UnboundVariable`.
     """
-    return _parse_tokens(tokenize(text), contexts, require_closed)
+    return _parse_tokens(tokenize(text), frozenset(contexts), require_closed)
 
 
 @dataclass(frozen=True)
@@ -317,7 +289,7 @@ class NamedFormula:
     line: int
 
 
-_LET = re.compile(r"^(\s*let\s+)([A-Za-z_][A-Za-z0-9_]*)(\s*=\s*)(.*)$")
+_LET = re.compile(rf"^(\s*let\s+)({_IDENT})(\s*=\s*)(.*)$")
 
 
 def parse_formula_file(
@@ -330,6 +302,7 @@ def parse_formula_file(
 
     Blank lines and comment-only lines are skipped.  Spans are file-relative.
     """
+    names = frozenset(contexts)
     entries: list[NamedFormula] = []
     byte_base = 0
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -350,7 +323,7 @@ def parse_formula_file(
                 column=col0 + 1,
                 offset=byte_base + len(raw[:col0].encode("utf-8")),
             )
-            f = _parse_tokens(tokens, contexts, require_closed)
+            f = _parse_tokens(tokens, names, require_closed)
             entries.append(NamedFormula(name, f, lineno))
         byte_base += len(raw.encode("utf-8")) + 1  # '\n'
     return entries

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 import sapta.cli as cli
 from sapta.cli import EX_ERROR, EX_MISMATCH, EX_OK, EX_USAGE, main
 from sapta.predication import PredicationClass, PredicationTag
+from sapta.scenarios import MAX_LEVELS
 
 
 CAT_MODEL = {
@@ -322,6 +323,22 @@ def test_scenario_threshold_rejects_non_finite_numbers(capsys, flags, kind):
     assert "finite" in data["error"]["message"]
 
 
+def test_scenario_threshold_level_count_is_capped(capsys):
+    levels = [f"{i / 1000:g}" for i in range(MAX_LEVELS + 1)]
+    code, out, _ = run_cli(
+        capsys, "scenario", "threshold", "--levels", ",".join(levels[:MAX_LEVELS]),
+        "--format", "text",
+    )
+    assert code == EX_OK
+    assert out.count(": perceived = ") == MAX_LEVELS
+    code, out, _ = run_cli(capsys, "scenario", "threshold", "--levels", ",".join(levels))
+    assert code == EX_ERROR
+    data = json.loads(out)
+    assert list(data) == ["error"]
+    assert data["error"]["kind"] == "ValueError"
+    assert f"at most {MAX_LEVELS}" in data["error"]["message"]
+
+
 def test_scenario_threshold_rejects_levels_that_share_a_context_name(capsys):
     code, out, _ = run_cli(capsys, "scenario", "threshold", "--levels", "0.3,0.2999999")
     assert code == EX_ERROR
@@ -461,3 +478,23 @@ _json_values = st.recursive(
 def test_encoder_matches_stock_json(value):
     want = json.dumps(value, indent=2, ensure_ascii=False)
     assert json.dumps(value, indent=2, ensure_ascii=False, cls=cli._Encoder) == want
+
+
+@pytest.mark.parametrize("nested", ["model", "judgments"])
+def test_deeply_nested_json_is_a_json_error(capsys, tmp_path, cat_files, nested):
+    model, judgments = cat_files
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    if nested == "model":
+        formulas = tmp_path / "one.lgc"
+        formulas.write_text("forall x. alive(x)\n")
+        argv = ["eval", str(formulas), "--model", str(deep)]
+    else:
+        argv = ["classify", str(deep), "--model", str(model)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EX_ERROR
+    data = json.loads(out)
+    assert list(data) == ["error"]
+    assert data["error"]["kind"] == "ModelError"
+    assert "nested too deeply" in data["error"]["message"]
+    assert "Traceback" not in err

@@ -290,3 +290,84 @@ def test_token_spans_match_the_text(case, line, column, offset):
     eof = tokens[-1]
     assert eof.kind == "eof" and eof.span.start == eof.span.end == offset + len(data)
     assert eof.span.line == line + text.count("\n")
+
+
+def _node_spans(node):
+    """(node type, *span) of every node, in pre-order."""
+    out = [(type(node).__name__, *node.span)]
+    for attr in ("operand", "left", "right", "body"):
+        child = getattr(node, attr, None)
+        if child is not None:
+            out += _node_spans(child)
+    return out
+
+
+_PINNED_SPANS = [
+    # Every binary level, loosest at the root.
+    ("~a(x) & b(x) | c(x) -> d(x) <-> e(x)", (), [
+        ("Iff", 0, 36, 1, 1), ("Implies", 0, 27, 1, 1), ("Or", 0, 19, 1, 1),
+        ("And", 0, 12, 1, 1), ("Not", 0, 5, 1, 1), ("PredicateApp", 1, 5, 1, 2),
+        ("PredicateApp", 8, 12, 1, 9), ("PredicateApp", 15, 19, 1, 16),
+        ("PredicateApp", 23, 27, 1, 24), ("PredicateApp", 32, 36, 1, 33),
+    ]),
+    # & and | chains group to the left.
+    ("a(x) & b(x) & c(x) | d(x) | e(x)", (), [
+        ("Or", 0, 32, 1, 1), ("Or", 0, 25, 1, 1), ("And", 0, 18, 1, 1),
+        ("And", 0, 11, 1, 1), ("PredicateApp", 0, 4, 1, 1), ("PredicateApp", 7, 11, 1, 8),
+        ("PredicateApp", 14, 18, 1, 15), ("PredicateApp", 21, 25, 1, 22),
+        ("PredicateApp", 28, 32, 1, 29),
+    ]),
+    # Arrow chains group to the right.
+    ("a(x) -> b(x) -> c(x) <-> d(x) <-> e(x)", (), [
+        ("Iff", 0, 38, 1, 1), ("Implies", 0, 20, 1, 1), ("PredicateApp", 0, 4, 1, 1),
+        ("Implies", 8, 20, 1, 9), ("PredicateApp", 8, 12, 1, 9),
+        ("PredicateApp", 16, 20, 1, 17), ("Iff", 25, 38, 1, 26),
+        ("PredicateApp", 25, 29, 1, 26), ("PredicateApp", 34, 38, 1, 35),
+    ]),
+    # A parenthesized operand's span leaves its parentheses out.
+    ("(a(x) | b(x)) & ~(c(x) -> d(x))", (), [
+        ("And", 1, 30, 1, 2), ("Or", 1, 12, 1, 2), ("PredicateApp", 1, 5, 1, 2),
+        ("PredicateApp", 8, 12, 1, 9), ("Not", 16, 30, 1, 17), ("Implies", 18, 30, 1, 19),
+        ("PredicateApp", 18, 22, 1, 19), ("PredicateApp", 26, 30, 1, 27),
+    ]),
+    ("forall x. (p(x) -> exists y. q(y) & r(x))", (), [
+        ("ForAll", 0, 40, 1, 1), ("Implies", 11, 40, 1, 12), ("PredicateApp", 11, 15, 1, 12),
+        ("Exists", 19, 40, 1, 20), ("And", 29, 40, 1, 30), ("PredicateApp", 29, 33, 1, 30),
+        ("PredicateApp", 36, 40, 1, 37),
+    ]),
+    # Unicode aliases: byte offsets run ahead of columns, across a line break.
+    ("∀x. (p(x) → ¬q(x) ∧ r(x)) ↔\n  ∃y. s(y) ∨ t(y)", (), [
+        ("ForAll", 0, 58, 1, 1), ("Iff", 7, 58, 1, 6), ("Implies", 7, 31, 1, 6),
+        ("PredicateApp", 7, 11, 1, 6), ("And", 16, 31, 1, 13), ("Not", 16, 22, 1, 13),
+        ("PredicateApp", 18, 22, 1, 14), ("PredicateApp", 27, 31, 1, 21),
+        ("Exists", 39, 58, 2, 3), ("Or", 45, 58, 2, 7), ("PredicateApp", 45, 49, 2, 7),
+        ("PredicateApp", 54, 58, 2, 14),
+    ]),
+    ("forall x. (c(x) -> ~p(x))", ("c",), [
+        ("ForAll", 0, 24, 1, 1), ("Implies", 11, 24, 1, 12), ("ContextGuard", 11, 15, 1, 12),
+        ("Not", 19, 24, 1, 20), ("PredicateApp", 20, 24, 1, 21),
+    ]),
+]
+
+
+@pytest.mark.parametrize("text, contexts, spans", _PINNED_SPANS)
+def test_node_spans_are_pinned(text, contexts, spans):
+    assert _node_spans(parse(text, contexts=contexts)) == spans
+
+
+# ASCII spelling -> Unicode alias, read off _LEXEMES.
+_ALIASES = {
+    plain: alias
+    for plain, kind in _LEXEMES.items() if plain.isascii()
+    for alias, alias_kind in _LEXEMES.items() if alias_kind == kind and not alias.isascii()
+}
+_SPELLINGS = re.compile("|".join(re.escape(s) for s in sorted(_ALIASES, key=len, reverse=True)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas, st.sets(st.sampled_from(sorted(_ALIASES))))
+def test_roundtrip_with_unicode_aliases(f, replaced):
+    text = _SPELLINGS.sub(
+        lambda m: _ALIASES[m.group()] if m.group() in replaced else m.group(), pretty(f)
+    )
+    assert parse(text) == f
