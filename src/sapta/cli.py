@@ -16,30 +16,8 @@ import re
 import sys
 from json.encoder import encode_basestring
 
-from . import trivalent
+from . import MAX_LEVELS, SCENARIO_NAMES
 from .errors import ModelError, ParseError, SaptaError
-from .formulas import ast_to_dict, pretty
-from .parser import parse_formula_file
-from .predication import (
-    SANSKRIT_NAMES,
-    classify,
-    judgments_from_json,
-    mutual_exclusivity_certificate,
-    schema_formula_for,
-)
-from .semantics import Model, evaluate
-from .scenarios import (
-    CORPUS_ORDER,
-    MAX_LEVELS,
-    SCENARIO_NAMES,
-    run_corpus,
-    scenario_cat,
-    scenario_double_slit,
-    scenario_epr,
-    scenario_qcc,
-    scenario_threshold,
-    scenario_wigner,
-)
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -58,6 +36,16 @@ class _UsageError(Exception):
 # misses '-1e3', '-inf' and the --levels list '-1e-3,0.5'.
 _NUMBER = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
 _NEGATIVE_NUMBERS = re.compile(rf"-{_NUMBER}(?:,[-+]?{_NUMBER})*\Z", re.IGNORECASE)
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return seed
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -103,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scenario = sub.add_parser("scenario", help="run one built-in scenario")
     p_scenario.add_argument("name", choices=SCENARIO_NAMES)
-    p_scenario.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
+    p_scenario.add_argument("--seed", type=_seed, default=0, help="non-negative sampling seed")
     p_scenario.add_argument("--open", action="store_true", help="cat: open the box")
     p_scenario.add_argument("--trials", type=int, help="cat: sample this many outcomes")
     p_scenario.add_argument(
@@ -125,13 +113,97 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p_scenario)
 
     p_corpus = sub.add_parser("corpus", help="run all scenarios against expected classes")
-    p_corpus.add_argument("--seed", type=int, default=0)
+    p_corpus.add_argument("--seed", type=_seed, default=0, help="non-negative sampling seed")
     add_format(p_corpus)
 
     p_excl = sub.add_parser("exclusivity", help="21-row mutual exclusivity certificate")
     add_format(p_excl)
 
     return parser
+
+
+# ---------------------------------------------------------------------------
+# The commands' callees.  Each imports its home module when it is called, so
+# that a command loads only the modules it runs (`scenario` and `corpus`
+# alone load numpy).  They stay names of this module so that a caller can
+# rebind them, as the traced benchmark replay and the tests do.
+
+
+class Model:
+    @staticmethod
+    def from_json(data):
+        from .semantics import Model
+        return Model.from_json(data)
+
+
+def parse_formula_file(text, **options):
+    from .parser import parse_formula_file
+    return parse_formula_file(text, **options)
+
+
+def evaluate(formula, model, **options):
+    from .semantics import evaluate
+    return evaluate(formula, model, **options)
+
+
+def pretty(formula):
+    from .formulas import pretty
+    return pretty(formula)
+
+
+def ast_to_dict(formula):
+    from .formulas import ast_to_dict
+    return ast_to_dict(formula)
+
+
+def judgments_from_json(data):
+    from .predication import judgments_from_json
+    return judgments_from_json(data)
+
+
+def classify(judgments, model, predicate):
+    from .predication import classify
+    return classify(judgments, model, predicate)
+
+
+def mutual_exclusivity_certificate():
+    from .predication import mutual_exclusivity_certificate
+    return mutual_exclusivity_certificate()
+
+
+def run_corpus(seed):
+    from .scenarios import run_corpus
+    return run_corpus(seed)
+
+
+def scenario_double_slit(*args):
+    from .scenarios import scenario_double_slit
+    return scenario_double_slit(*args)
+
+
+def scenario_cat(*args):
+    from .scenarios import scenario_cat
+    return scenario_cat(*args)
+
+
+def scenario_wigner(*args):
+    from .scenarios import scenario_wigner
+    return scenario_wigner(*args)
+
+
+def scenario_epr(*args):
+    from .scenarios import scenario_epr
+    return scenario_epr(*args)
+
+
+def scenario_qcc():
+    from .scenarios import scenario_qcc
+    return scenario_qcc()
+
+
+def scenario_threshold(*args):
+    from .scenarios import scenario_threshold
+    return scenario_threshold(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +315,13 @@ def _read_json(path: str):
         raise ModelError(f"{path}: JSON nested too deeply") from None
 
 
-def _load_model(path: str) -> Model:
+def _load_model(path: str):
     return Model.from_json(_read_json(path))
 
 
-def _model_metadata(model: Model) -> dict:
+def _model_metadata(model) -> dict:
+    from . import trivalent
+
     return {
         "connectives": trivalent.CONNECTIVES,
         "implication": trivalent.IMPLICATION,
@@ -257,6 +331,8 @@ def _model_metadata(model: Model) -> dict:
 
 
 def _class_text(cls) -> str:
+    from .predication import SANSKRIT_NAMES
+
     name = SANSKRIT_NAMES.get(cls.tag)
     return f"{cls.tag.value} ({name})" if name else cls.tag.value
 
@@ -314,6 +390,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .predication import schema_formula_for
+
     path = args.judgments_path or args.judgments
     if path is None or (args.judgments_path and args.judgments):
         raise SaptaError("give the judgment file either positionally or via --judgments")
@@ -377,6 +455,8 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from .scenarios import CORPUS_ORDER
+
     results = run_corpus(args.seed)
     ok = all(r.match for r in results)
     if args.format == "json":
@@ -451,7 +531,8 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         raise  # stdout is gone: no error report can be written to it
-    except (SaptaError, OSError, json.JSONDecodeError, ValueError) as exc:
+    # ModuleNotFoundError: numpy is missing and the command needs it.
+    except (SaptaError, OSError, json.JSONDecodeError, ValueError, ModuleNotFoundError) as exc:
         if args.format == "json":
             _emit_json({"error": _error_payload(exc)})
         span = getattr(exc, "span", None)

@@ -8,7 +8,6 @@ is normally introduced by :func:`schema` or by ``parse(..., contexts=...)``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import ArityMismatch, DuplicateContext
@@ -38,8 +37,8 @@ __all__ = [
 class SourceSpan(NamedTuple):
     """Byte range plus 1-based line/column of a token or node.
 
-    A named tuple rather than a dataclass: the lexer builds one per token,
-    and a tuple is about three times cheaper to construct.
+    A named tuple: the lexer builds one per token, and a tuple is about
+    three times cheaper to construct than a class instance.
     """
 
     start: int
@@ -51,84 +50,138 @@ class SourceSpan(NamedTuple):
         return {"start": self.start, "end": self.end, "line": self.line, "column": self.column}
 
 
-def _span():
-    # Diagnostics only: excluded from equality and hashing.
-    return field(default=None, compare=False, repr=False)
+class Record:
+    """Immutable value object whose identity is its class and ``_fields``.
+
+    Two records are equal when they have the same class and equal fields,
+    and equal records hash equally.  ``repr`` shows the fields, assignment
+    raises ``AttributeError``, and pickle and ``copy`` rebuild a record
+    through its constructor from ``_init_args``.  Subclasses declare
+    ``__slots__`` and an ``__init__`` that stores each field with
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _init_args(self) -> tuple:
+        return self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._init_args()
 
 
-class Formula:
-    """Base class for formula AST nodes."""
+class Formula(Record):
+    """Base class for formula AST nodes.
+
+    A node's ``span`` is for diagnostics only: it is a constructor argument
+    after the fields, and takes no part in equality, hashing or ``repr``.
+    """
 
     __slots__ = ()
 
-
-@dataclass(frozen=True, slots=True)
-class PredicateApp(Formula):
-    name: str
-    var: str
-    span: SourceSpan | None = _span()
+    def _init_args(self) -> tuple:
+        return (*self._values(), self.span)
 
 
-@dataclass(frozen=True, slots=True)
-class ContextGuard(Formula):
+class _Atom(Formula):
+    __slots__ = ()
+
+
+class PredicateApp(_Atom):
+    __slots__ = ("name", "var", "span")
+    _fields = ("name", "var")
+
+    def __init__(self, name: str, var: str, span: SourceSpan | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "span", span)
+
+
+class ContextGuard(_Atom):
     """A unary atom whose name denotes a context rather than a predicate."""
 
-    context: str
-    var: str
-    span: SourceSpan | None = _span()
+    __slots__ = ("context", "var", "span")
+    _fields = ("context", "var")
+
+    def __init__(self, context: str, var: str, span: SourceSpan | None = None):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    operand: Formula
-    span: SourceSpan | None = _span()
+    __slots__ = ("operand", "span")
+    _fields = ("operand",)
+
+    def __init__(self, operand: Formula, span: SourceSpan | None = None):
+        object.__setattr__(self, "operand", operand)
+        object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-    span: SourceSpan | None = _span()
+class _Binary(Formula):
+    __slots__ = ("left", "right", "span")
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula, span: SourceSpan | None = None):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-    span: SourceSpan | None = _span()
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-    span: SourceSpan | None = _span()
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
-    span: SourceSpan | None = _span()
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ForAll(Formula):
-    var: str
-    body: Formula
-    span: SourceSpan | None = _span()
+class Iff(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Exists(Formula):
-    var: str
-    body: Formula
-    span: SourceSpan | None = _span()
+class _Quantifier(Formula):
+    __slots__ = ("var", "body", "span")
+    _fields = ("var", "body")
+
+    def __init__(self, var: str, body: Formula, span: SourceSpan | None = None):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "span", span)
 
 
-_BINARY = (And, Or, Implies, Iff)
-_QUANT = (ForAll, Exists)
-_ATOMIC = (PredicateApp, ContextGuard)
+class ForAll(_Quantifier):
+    __slots__ = ()
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
 
 
 # The one definition of the connectives' concrete syntax, read by the lexer,
@@ -161,13 +214,13 @@ def free_variables(f: Formula) -> frozenset[str]:
     """Variables occurring outside the scope of any quantifier binding them."""
 
     def walk(g: Formula, bound: frozenset[str]) -> frozenset[str]:
-        if isinstance(g, _ATOMIC):
+        if isinstance(g, _Atom):
             return frozenset() if g.var in bound else frozenset({g.var})
         if isinstance(g, Not):
             return walk(g.operand, bound)
-        if isinstance(g, _BINARY):
+        if isinstance(g, _Binary):
             return walk(g.left, bound) | walk(g.right, bound)
-        if isinstance(g, _QUANT):
+        if isinstance(g, _Quantifier):
             return walk(g.body, bound | {g.var})
         raise TypeError(f"not a formula node: {g!r}")
 
@@ -182,13 +235,13 @@ def ast_to_dict(f: Formula) -> dict:
         return {"node": "ContextGuard", "context": f.context, "var": f.var}
     if isinstance(f, Not):
         return {"node": "Not", "operand": ast_to_dict(f.operand)}
-    if isinstance(f, _BINARY):
+    if isinstance(f, _Binary):
         return {
             "node": type(f).__name__,
             "left": ast_to_dict(f.left),
             "right": ast_to_dict(f.right),
         }
-    if isinstance(f, _QUANT):
+    if isinstance(f, _Quantifier):
         return {"node": type(f).__name__, "var": f.var, "body": ast_to_dict(f.body)}
     raise TypeError(f"not a formula node: {f!r}")
 
@@ -223,18 +276,18 @@ def pretty(f: Formula) -> str:
 
 
 def _render(f: Formula, min_level: int, allow_open: bool) -> str:
-    if isinstance(f, _ATOMIC):
+    if isinstance(f, _Atom):
         return f"{atom_name(f)}({f.var})"
     if isinstance(f, Not):
         return _PREFIX[Not] + _render(f.operand, _UNARY_LEVEL, allow_open)
-    if isinstance(f, _QUANT):
-        if isinstance(f.body, _BINARY):
+    if isinstance(f, _Quantifier):
+        if isinstance(f.body, _Binary):
             inner = "(" + _render(f.body, 1, True) + ")"
         else:
             inner = _render(f.body, _UNARY_LEVEL, True)
         s = f"{_PREFIX[type(f)]} {f.var}. {inner}"
         return s if allow_open else "(" + s + ")"
-    if isinstance(f, _BINARY):
+    if isinstance(f, _Binary):
         level, text, right_assoc = _INFIX[type(f)]
         left_min = level + 1 if right_assoc else level
         right_min = level if right_assoc else level + 1

@@ -18,7 +18,6 @@ reentrant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, NamedTuple
 
@@ -29,6 +28,7 @@ from .formulas import (
     Formula,
     Not,
     PredicateApp,
+    Record,
     SourceSpan,
     free_variables,
 )
@@ -280,13 +280,15 @@ def parse(
     return _parse_tokens(tokenize(text), frozenset(contexts), require_closed)
 
 
-@dataclass(frozen=True)
-class NamedFormula:
+class NamedFormula(Record):
     """One entry of a formula file: an optional let-name, the AST, its line."""
 
-    name: str | None
-    formula: Formula
-    line: int
+    __slots__ = _fields = ("name", "formula", "line")
+
+    def __init__(self, name: str | None, formula: Formula, line: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "line", line)
 
 
 _LET = re.compile(rf"^(\s*let\s+)({_IDENT})(\s*=\s*)(.*)$")

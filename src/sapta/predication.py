@@ -10,13 +10,13 @@ contexts or predicates, which is what blocks explosion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from enum import Enum
 from itertools import combinations
 from typing import Iterable
 
 from .errors import ModelError, UndeclaredName
-from .formulas import PREDICATIONS, Formula, schema, undet_name
+from .formulas import PREDICATIONS, Formula, Record, schema, undet_name
 from .semantics import ContextDef, Model, _array
 from .trivalent import Tv3
 
@@ -38,13 +38,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(Record):
     """A (context, predicate, value) triple: one conditional assertion."""
 
-    context: str
-    predicate: str
-    value: Tv3
+    __slots__ = _fields = ("context", "predicate", "value")
+
+    def __init__(self, context: str, predicate: str, value: Tv3):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "predicate", predicate)
+        object.__setattr__(self, "value", value)
 
     def to_json(self) -> dict:
         return {"context": self.context, "predicate": self.predicate, "value": self.value.value}
@@ -96,8 +98,7 @@ _VALUE_ORDER = _ROWS[PredicationTag.P7][1]  # P7 asserts every value
 SANSKRIT_NAMES = {PredicationTag(f"P{k}"): name for k, (_, name) in PREDICATIONS.items()}
 
 
-@dataclass(frozen=True)
-class PredicationClass:
+class PredicationClass(Record):
     """Classification result: a tag plus the witness contexts.
 
     For P1..P7, ``contexts_used`` lists one witness context per asserted
@@ -105,8 +106,11 @@ class PredicationClass:
     Inconsistent it carries the offending context; for Degenerate, nothing.
     """
 
-    tag: PredicationTag
-    contexts_used: tuple[str, ...] = ()
+    __slots__ = _fields = ("tag", "contexts_used")
+
+    def __init__(self, tag: PredicationTag, contexts_used: tuple[str, ...] = ()):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "contexts_used", contexts_used)
 
     @property
     def schema_index(self) -> int | None:
@@ -151,19 +155,26 @@ def classify(judgments: Iterable[Judgment], model: Model, predicate: str) -> Pre
         return PredicationClass(PredicationTag.DEGENERATE, ())
 
     # The first compatible pair asserting different values, in lexicographic
-    # pair order, read off the model's packed relation (min * K + max).
+    # pair order, read off the model's packed relation (min * K + max).  Each
+    # context is checked against the later contexts of the other values'
+    # groups only; every check that passes uses up a distinct declared pair,
+    # so the scan costs O(K log K + |relation|).
     names = sorted(by_context)
-    values = [by_context[c] for c in names]
     index = [model._context_index[c] for c in names]
+    groups: dict[Tv3, tuple[list[int], list[int]]] = {}  # value -> positions, context indices
+    for i, c in enumerate(names):
+        positions, indices = groups.setdefault(by_context[c], ([], []))
+        positions.append(i)
+        indices.append(index[i])
     k, relation = len(model.contexts), model._incompatible
-    for i, (a, v) in enumerate(zip(index, values)):
-        keys = [
-            a * k + b if a < b else b * k + a
-            for b, w in zip(index[i + 1:], values[i + 1:])
-            if w is not v
-        ]
-        if not relation.issuperset(keys):
-            return PredicationClass(PredicationTag.INCONSISTENT, (names[i],))
+    for i, (a, c) in enumerate(zip(index, names)):
+        v = by_context[c]
+        for w, (positions, indices) in groups.items():
+            if w is v:
+                continue
+            keys = [a * k + b if a < b else b * k + a for b in indices[bisect_right(positions, i):]]
+            if not relation.issuperset(keys):
+                return PredicationClass(PredicationTag.INCONSISTENT, (c,))
 
     values = frozenset(by_context.values())
     witnesses = tuple(
@@ -254,12 +265,14 @@ def canonical_witness(tag: PredicationTag) -> tuple[tuple[Judgment, ...], Model]
     return judgments, induced_model(judgments, "p")
 
 
-@dataclass(frozen=True)
-class CertificateRow:
-    first: PredicationTag
-    second: PredicationTag
-    verdict: str
-    reason: str
+class CertificateRow(Record):
+    __slots__ = _fields = ("first", "second", "verdict", "reason")
+
+    def __init__(self, first: PredicationTag, second: PredicationTag, verdict: str, reason: str):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reason", reason)
 
     def to_json(self) -> dict:
         return {

@@ -10,10 +10,11 @@ given the same parameters and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from . import MAX_LEVELS, SCENARIO_NAMES
 from .errors import BadCuts
+from .formulas import Record
 from .predication import (
     Judgment,
     PredicationClass,
@@ -54,20 +55,27 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(Record):
     """A scenario's model, judgments, expected class, and numeric evidence."""
 
-    scenario_name: str
-    model: Model
-    judgments: tuple[Judgment, ...]
-    expected_class: PredicationClass
-    numeric_witness: dict[str, float | complex] = field(default_factory=dict)
+    __slots__ = _fields = ("scenario_name", "model", "judgments", "expected_class", "numeric_witness")
 
-    def __post_init__(self):
-        for j in self.judgments:
-            if not self.model.is_context(j.context):
+    def __init__(
+        self,
+        scenario_name: str,
+        model: Model,
+        judgments: tuple[Judgment, ...],
+        expected_class: PredicationClass,
+        numeric_witness: dict[str, float | complex] | None = None,
+    ):
+        for j in judgments:
+            if not model.is_context(j.context):
                 raise ValueError(f"judgment context {j.context!r} not declared in scenario model")
+        object.__setattr__(self, "scenario_name", scenario_name)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "judgments", judgments)
+        object.__setattr__(self, "expected_class", expected_class)
+        object.__setattr__(self, "numeric_witness", {} if numeric_witness is None else numeric_witness)
 
     def to_json(self) -> dict:
         witness = {
@@ -356,13 +364,6 @@ def scenario_qcc() -> ScenarioReport:
 # Perception threshold.
 
 
-# Most intensity levels one threshold scenario takes.  Its model declares
-# every pair of levels incompatible, so memory grows with the square of the
-# level count: a `--format text` run peaks at about 22 MB RSS at 256 levels
-# and 85 MB at 1,000.
-MAX_LEVELS = 256
-
-
 def scenario_threshold(
     intensity_levels: Sequence[float] = (0.1, 0.5, 0.9),
     lower_cut: float = 0.3,
@@ -426,8 +427,6 @@ def scenario_threshold(
 # ---------------------------------------------------------------------------
 # Corpus.
 
-SCENARIO_NAMES = ("double_slit", "cat", "wigner", "epr", "qcc", "threshold")
-
 CORPUS_ORDER = (
     "double_slit",
     "cat_closed",
@@ -440,11 +439,13 @@ CORPUS_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class CorpusResult:
-    name: str
-    report: ScenarioReport
-    classified: PredicationClass
+class CorpusResult(Record):
+    __slots__ = _fields = ("name", "report", "classified")
+
+    def __init__(self, name: str, report: ScenarioReport, classified: PredicationClass):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "classified", classified)
 
     @property
     def match(self) -> bool:

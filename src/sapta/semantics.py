@@ -9,7 +9,6 @@ concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ModelError, NotASchema, UndeclaredName, UnboundVariable
@@ -24,6 +23,7 @@ from .formulas import (
     Not,
     Or,
     PredicateApp,
+    Record,
     atom_name,
     free_variables,
 )
@@ -40,15 +40,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ContextDef:
+class ContextDef(Record):
     """A named context and the set of entities satisfying its condition.
 
     Guards are bivalent: an entity is in the extension or it is not.
     """
 
-    name: str
-    extension: frozenset[str]
+    __slots__ = _fields = ("name", "extension")
 
     def __init__(self, name: str, extension: Iterable[str] = ()):
         object.__setattr__(self, "name", name)

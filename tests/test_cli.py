@@ -394,14 +394,135 @@ class _FakeStdin:
         return self._text
 
 
-def test_import_does_not_run_numpy():
-    # Only scenario and corpus need numpy; importing the CLI must not load it.
+def _child_env():
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+
+def test_import_does_not_run_numpy(tmp_path, cat_files):
+    # Each command imports only the modules it runs: only scenario and corpus
+    # need numpy, `scenario threshold` never executes it (numpy is imported
+    # lazily), and no module needs dataclasses.
+    model, judgments = cat_files
+    formulas = tmp_path / "f.lgc"
+    formulas.write_text("forall x. (box_open(x) -> alive(x))\n")
     code = (
-        "import sys, sapta.cli\n"
-        "print(sorted(m for m in ('numpy._core', 'numpy.core') if m in sys.modules))\n"
+        "import contextlib, io, sys\n"
+        "import sapta.cli\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert sapta.cli.main(sys.argv[1:]) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    never = {"dataclasses", "numpy", "sapta.scenarios", "sapta.quantum"}
+    cases = [
+        ([], never | {"sapta.semantics", "sapta.predication"}),
+        (["parse", str(formulas)], never | {"sapta.semantics", "sapta.predication"}),
+        (["eval", str(formulas), "--model", str(model)], never | {"sapta.predication"}),
+        (["classify", str(judgments), "--model", str(model)], never),
+        (["exclusivity"], never),
+        (["scenario", "threshold"], {"dataclasses", "numpy._core", "numpy.core"}),
+    ]
+    for argv, absent in cases:
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, check=True, env=_child_env())
+        assert absent.isdisjoint(done.stdout.split()), argv
+
+
+# Every name the package exported when its __init__ imported all submodules.
+_PACKAGE_NAMES = """
+    ArityMismatch BadCuts BasisMismatch DimensionMismatch DuplicateContext ModelError
+    NotASchema OrthogonalSelection ParseError SaptaError UnboundVariable UndeclaredName
+    And ContextGuard Exists ForAll Formula Iff Implies Not Or PredicateApp SourceSpan
+    ast_to_dict free_variables pretty schema undet_name NamedFormula parse parse_formula_file
+    CertificateRow Entailment Judgment PredicationClass PredicationTag SANSKRIT_NAMES
+    canonical_witness classify entails induced_model judgments_from_json judgments_to_json
+    mutual_exclusivity_certificate schema_formula_for tag_for_values Operator StateVector
+    fringe_visibility inner_product tensor_product weak_value ContextDef Model
+    check_incompatibility evaluate guard_of CorpusResult ScenarioReport find_cat_seed
+    run_corpus scenario_cat scenario_double_slit scenario_epr scenario_qcc scenario_threshold
+    scenario_wigner Tv3 conj3 disj3 iff3 impl3 neg3
+""".split()
+
+
+def test_package_names_still_resolve():
+    import sapta
+    from sapta import formulas, scenarios, semantics
+
+    star: dict = {}
+    exec("from sapta import *", star)
+    for name in _PACKAGE_NAMES:
+        home = getattr(sapta, name)
+        assert star[name] is home
+        assert name in dir(sapta)
+    assert sapta.Model is semantics.Model and sapta.And is formulas.And
+    assert sapta.run_corpus is scenarios.run_corpus
+    assert sapta.__version__ == "0.1.0"
+    assert "formulas" in dir(sapta) and sapta.formulas is formulas
+    with pytest.raises(AttributeError):
+        sapta.no_such_name
+
+
+_HIDE_NUMPY = (
+    "import sys\n"
+    "from importlib.machinery import PathFinder\n"
+    "sys.path[:] = [p for p in sys.path if PathFinder.find_spec('numpy', [p]) is None]\n"
+    "from sapta.cli import entry\n"
+    "entry()\n"
+)
+
+
+@pytest.mark.parametrize("command", ["parse", "eval", "classify", "exclusivity", "scenario", "corpus"])
+def test_commands_without_numpy(tmp_path, cat_files, command):
+    model, judgments = cat_files
+    formulas = tmp_path / "f.lgc"
+    formulas.write_text("forall x. (box_open(x) -> alive(x))\n")
+    argv = {
+        "parse": ["parse", str(formulas)],
+        "eval": ["eval", str(formulas), "--model", str(model)],
+        "classify": ["classify", str(judgments), "--model", str(model)],
+        "exclusivity": ["exclusivity"],
+        "scenario": ["scenario", "epr"],
+        "corpus": ["corpus"],
+    }[command]
+    done = subprocess.run([sys.executable, "-c", _HIDE_NUMPY, *argv], capture_output=True,
+                          text=True, env=_child_env())
+    assert "Traceback" not in done.stderr
+    data = json.loads(done.stdout)
+    if command in ("scenario", "corpus"):
+        assert done.returncode == EX_ERROR
+        assert data["error"]["kind"] == "ModuleNotFoundError"
+        assert "numpy" in data["error"]["message"]
+    else:
+        assert done.returncode == EX_OK, done.stderr
+        assert "error" not in data
+
+
+def test_lazy_import_of_a_missing_module_names_it():
+    from sapta.quantum import _lazy_import
+
+    with pytest.raises(ModuleNotFoundError, match="no_such_module_here") as info:
+        _lazy_import("no_such_module_here")
+    assert info.value.name == "no_such_module_here"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "cat", "--open", "--seed", "-1"],
+    ["scenario", "epr", "--seed", "-1"],
+    ["corpus", "--seed", "-5"],
+    ["corpus", "--seed=-5", "--format", "text"],
+])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EX_USAGE
+    assert "--seed" in err and "non-negative" in err
+    if "text" not in argv:
+        assert "--seed" in json.loads(out)["error"]["message"]
+
+
+def test_large_seed_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "scenario", "cat", "--open", "--seed", str(2**70))
+    assert code == EX_OK
+    assert json.loads(out)["metadata"]["seed"] == 2**70
 
 
 @pytest.mark.parametrize("field, bad", [

@@ -1,6 +1,7 @@
 """Sevenfold classification, mutual exclusivity, entailment."""
 import itertools
 import random
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -352,3 +353,16 @@ def test_judgment_json_malformed():
         judgments_from_json([{"context": "c1", "value": "T"}])
     with pytest.raises(ModelError):
         judgments_from_json([{"context": "c1", "predicate": "p", "value": "X"}])
+
+
+def test_classify_is_not_quadratic_in_equal_valued_contexts():
+    # With every context asserting one value no pair needs a check; a scan
+    # over all later contexts of each context takes tens of seconds here.
+    k = 50_000
+    names = [f"c{i}" for i in range(k)]
+    m = Model(["e"], [ContextDef(c, {"e"}) for c in names], ["p"], background=names[0])
+    judgments = [J(c, T) for c in names]
+    start = time.perf_counter()
+    result = classify(judgments, m, "p")
+    assert time.perf_counter() - start < 1.0
+    assert result == PredicationClass(PredicationTag.P1, ("c0",))
