@@ -57,13 +57,13 @@ MAX_LEVELS = 256
 
 
 def __getattr__(name: str):
-    from importlib import import_module
-
+    # `__import__`, unlike `importlib.import_module`, goes through the import
+    # statement's machinery, so `-X importtime` lists the modules it loads.
     if name in _HOMES:  # a submodule not imported yet
-        return import_module(f".{name}", __name__)
+        return __import__(name, globals(), None, (), 1)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    value = globals()[name] = getattr(__import__(_HOME[name], globals(), None, (), 1), name)
     return value
 
 

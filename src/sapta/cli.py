@@ -38,14 +38,21 @@ _NUMBER = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
 _NEGATIVE_NUMBERS = re.compile(rf"-{_NUMBER}(?:,[-+]?{_NUMBER})*\Z", re.IGNORECASE)
 
 
-def _seed(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
+    if value < 0:
         raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
-    return seed
+    return value
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float list value: {text!r}") from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -91,16 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scenario = sub.add_parser("scenario", help="run one built-in scenario")
     p_scenario.add_argument("name", choices=SCENARIO_NAMES)
-    p_scenario.add_argument("--seed", type=_seed, default=0, help="non-negative sampling seed")
+    p_scenario.add_argument("--seed", type=_non_negative_int, default=0, help="non-negative sampling seed")
     p_scenario.add_argument("--open", action="store_true", help="cat: open the box")
-    p_scenario.add_argument("--trials", type=int, help="cat: sample this many outcomes")
+    p_scenario.add_argument("--trials", type=_non_negative_int, help="cat: sample this many outcomes")
     p_scenario.add_argument(
         "--perspective", choices=("friend", "wigner", "combined"), default="combined"
     )
     p_scenario.add_argument("--friend-outcome", choices=("up", "down"), default="up")
     p_scenario.add_argument("--basis", choices=("zero_one", "plus_minus"), default="zero_one")
     p_scenario.add_argument(
-        "--levels", default="0.1,0.5,0.9",
+        "--levels", type=_float_list, default="0.1,0.5,0.9",
         help=f"threshold: comma-separated intensities, at most {MAX_LEVELS}",
     )
     p_scenario.add_argument("--lower-cut", type=float, default=0.3)
@@ -113,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p_scenario)
 
     p_corpus = sub.add_parser("corpus", help="run all scenarios against expected classes")
-    p_corpus.add_argument("--seed", type=_seed, default=0, help="non-negative sampling seed")
+    p_corpus.add_argument("--seed", type=_non_negative_int, default=0, help="non-negative sampling seed")
     add_format(p_corpus)
 
     p_excl = sub.add_parser("exclusivity", help="21-row mutual exclusivity certificate")
@@ -123,87 +130,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# The commands' callees.  Each imports its home module when it is called, so
-# that a command loads only the modules it runs (`scenario` and `corpus`
-# alone load numpy).  They stay names of this module so that a caller can
-# rebind them, as the traced benchmark replay and the tests do.
+# The commands' callees.  Each looks its name up in the package when it is
+# called, and the package loads it from its home module on first use, so that
+# a command loads only the modules it runs (`scenario` and `corpus` alone load
+# numpy).  They stay names of this module so that a caller can rebind them, as
+# the traced benchmark replay and the tests do.
+
+
+def _deferred(path: str):
+    """A function that calls the package's name ``path``, or for
+    ``"Model.from_json"`` that name's attribute, as it is when called."""
+    package = sys.modules[__package__]
+    name, _, attr = path.partition(".")
+
+    def call(*args, **kwargs):
+        target = getattr(package, name)
+        return (getattr(target, attr) if attr else target)(*args, **kwargs)
+
+    return call
 
 
 class Model:
-    @staticmethod
-    def from_json(data):
-        from .semantics import Model
-        return Model.from_json(data)
+    from_json = _deferred("Model.from_json")
 
 
-def parse_formula_file(text, **options):
-    from .parser import parse_formula_file
-    return parse_formula_file(text, **options)
-
-
-def evaluate(formula, model, **options):
-    from .semantics import evaluate
-    return evaluate(formula, model, **options)
-
-
-def pretty(formula):
-    from .formulas import pretty
-    return pretty(formula)
-
-
-def ast_to_dict(formula):
-    from .formulas import ast_to_dict
-    return ast_to_dict(formula)
-
-
-def judgments_from_json(data):
-    from .predication import judgments_from_json
-    return judgments_from_json(data)
-
-
-def classify(judgments, model, predicate):
-    from .predication import classify
-    return classify(judgments, model, predicate)
-
-
-def mutual_exclusivity_certificate():
-    from .predication import mutual_exclusivity_certificate
-    return mutual_exclusivity_certificate()
-
-
-def run_corpus(seed):
-    from .scenarios import run_corpus
-    return run_corpus(seed)
-
-
-def scenario_double_slit(*args):
-    from .scenarios import scenario_double_slit
-    return scenario_double_slit(*args)
-
-
-def scenario_cat(*args):
-    from .scenarios import scenario_cat
-    return scenario_cat(*args)
-
-
-def scenario_wigner(*args):
-    from .scenarios import scenario_wigner
-    return scenario_wigner(*args)
-
-
-def scenario_epr(*args):
-    from .scenarios import scenario_epr
-    return scenario_epr(*args)
-
-
-def scenario_qcc():
-    from .scenarios import scenario_qcc
-    return scenario_qcc()
-
-
-def scenario_threshold(*args):
-    from .scenarios import scenario_threshold
-    return scenario_threshold(*args)
+parse_formula_file = _deferred("parse_formula_file")
+evaluate = _deferred("evaluate")
+pretty = _deferred("pretty")
+ast_to_dict = _deferred("ast_to_dict")
+judgments_from_json = _deferred("judgments_from_json")
+classify = _deferred("classify")
+mutual_exclusivity_certificate = _deferred("mutual_exclusivity_certificate")
+run_corpus = _deferred("run_corpus")
+scenario_double_slit = _deferred("scenario_double_slit")
+scenario_cat = _deferred("scenario_cat")
+scenario_wigner = _deferred("scenario_wigner")
+scenario_epr = _deferred("scenario_epr")
+scenario_qcc = _deferred("scenario_qcc")
+scenario_threshold = _deferred("scenario_threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +295,7 @@ def _model_metadata(model) -> dict:
 
 
 def _class_text(cls) -> str:
-    from .predication import SANSKRIT_NAMES
+    from . import SANSKRIT_NAMES
 
     name = SANSKRIT_NAMES.get(cls.tag)
     return f"{cls.tag.value} ({name})" if name else cls.tag.value
@@ -390,7 +354,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .predication import schema_formula_for
+    from . import schema_formula_for
 
     path = args.judgments_path or args.judgments
     if path is None or (args.judgments_path and args.judgments):
@@ -434,8 +398,7 @@ def _build_scenario(args):
         return scenario_epr(args.basis)
     if args.name == "qcc":
         return scenario_qcc()
-    levels = tuple(float(part) for part in args.levels.split(",") if part.strip())
-    return scenario_threshold(levels, args.lower_cut, args.upper_cut)
+    return scenario_threshold(args.levels, args.lower_cut, args.upper_cut)
 
 
 def _cmd_scenario(args) -> int:

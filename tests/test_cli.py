@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 import sapta.cli as cli
 from sapta.cli import EX_ERROR, EX_MISMATCH, EX_OK, EX_USAGE, main
 from sapta.predication import PredicationClass, PredicationTag
+from sapta import SCENARIO_NAMES
 from sapta.scenarios import MAX_LEVELS
 
 
@@ -517,6 +518,70 @@ def test_negative_seed_is_a_usage_error(capsys, argv):
     assert "--seed" in err and "non-negative" in err
     if "text" not in argv:
         assert "--seed" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("flags", [["--open"], []])
+def test_negative_trials_is_a_usage_error(capsys, flags):
+    code, out, err = run_cli(capsys, "scenario", "cat", *flags, "--trials", "-5")
+    assert code == EX_USAGE
+    message = "argument --trials: invalid non-negative int value: '-5'"
+    assert json.loads(out)["error"]["message"] == message
+    assert message in err
+
+
+@pytest.mark.parametrize("levels", ["a,b", "0.5,x", "0.1;0.2"])
+def test_non_numeric_levels_is_a_usage_error(capsys, levels):
+    code, out, err = run_cli(capsys, "scenario", "threshold", "--levels", levels)
+    assert code == EX_USAGE
+    assert json.loads(out)["error"]["message"].startswith("argument --levels: ")
+    assert "--levels" in err
+
+
+def test_levels_skip_empty_parts(capsys):
+    code, out, _ = run_cli(capsys, "scenario", "threshold", "--levels", ",0.1,, 0.9,")
+    assert code == EX_OK
+    assert [j["context"] for j in json.loads(out)["judgments"]] == [
+        "intensity_0.1", "intensity_0.9"
+    ]
+
+
+_DEFAULT_SCENARIO_CLASSES = {
+    "double_slit": "P7", "cat": "P3", "wigner": "P5",
+    "epr": "P5", "qcc": "P7", "threshold": "P7",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_every_scenario_runs_through_main(capsys, name, fmt):
+    code, out, _ = run_cli(capsys, "scenario", name, "--format", fmt)
+    assert code == EX_OK
+    expected = _DEFAULT_SCENARIO_CLASSES[name]
+    if fmt == "json":
+        data = json.loads(out)
+        assert data["scenarioName"] == name
+        assert data["expectedClass"]["class"] == expected
+    else:
+        assert out.startswith(f"scenario: {name}\n")
+        assert f"\nexpected: {expected} (" in out
+
+
+def test_lazy_loads_show_in_importtime(tmp_path, cat_files):
+    # The package loads a name's home module through the import statement's
+    # machinery, which is what `-X importtime` reports on.
+    model, _ = cat_files
+    formulas = tmp_path / "f.lgc"
+    formulas.write_text("forall x. (box_open(x) -> alive(x))\n")
+    cases = [
+        (["-c", "import sapta; sapta.Model"], "sapta.semantics"),
+        (["-m", "sapta.cli", "parse", str(formulas)], "sapta.parser"),
+        (["-m", "sapta.cli", "eval", str(formulas), "--model", str(model)], "sapta.semantics"),
+    ]
+    for argv, module in cases:
+        done = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
+                              text=True, check=True, env=_child_env())
+        listed = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+        assert module in listed, argv
 
 
 def test_large_seed_is_accepted(capsys):
