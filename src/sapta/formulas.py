@@ -97,9 +97,22 @@ class Formula(Record):
 
     A node's ``span`` is for diagnostics only: it is a constructor argument
     after the fields, and takes no part in equality, hashing or ``repr``.
+    The parser passes a lazy reference in its place, the plain tuple
+    ``(tokens, first, last)`` of its token sequence and the indices of the
+    node's first and last tokens; ``span`` resolves it when read.
     """
 
-    __slots__ = ()
+    __slots__ = ("_span",)
+
+    @property
+    def span(self) -> SourceSpan | None:
+        """From the start of the node's first token to the end of its last."""
+        span = self._span
+        if span.__class__ is not tuple:  # a SourceSpan or None
+            return span
+        tokens, first, last = span
+        start, _, line, column = tokens[first].span
+        return SourceSpan(start, tokens[last].span.end, line, column)
 
     def _init_args(self) -> tuple:
         return (*self._values(), self.span)
@@ -110,44 +123,44 @@ class _Atom(Formula):
 
 
 class PredicateApp(_Atom):
-    __slots__ = ("name", "var", "span")
+    __slots__ = ("name", "var")
     _fields = ("name", "var")
 
     def __init__(self, name: str, var: str, span: SourceSpan | None = None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "_span", span)
 
 
 class ContextGuard(_Atom):
     """A unary atom whose name denotes a context rather than a predicate."""
 
-    __slots__ = ("context", "var", "span")
+    __slots__ = ("context", "var")
     _fields = ("context", "var")
 
     def __init__(self, context: str, var: str, span: SourceSpan | None = None):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "_span", span)
 
 
 class Not(Formula):
-    __slots__ = ("operand", "span")
+    __slots__ = ("operand",)
     _fields = ("operand",)
 
     def __init__(self, operand: Formula, span: SourceSpan | None = None):
         object.__setattr__(self, "operand", operand)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "_span", span)
 
 
 class _Binary(Formula):
-    __slots__ = ("left", "right", "span")
+    __slots__ = ("left", "right")
     _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula, span: SourceSpan | None = None):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "_span", span)
 
 
 class And(_Binary):
@@ -167,13 +180,13 @@ class Iff(_Binary):
 
 
 class _Quantifier(Formula):
-    __slots__ = ("var", "body", "span")
+    __slots__ = ("var", "body")
     _fields = ("var", "body")
 
     def __init__(self, var: str, body: Formula, span: SourceSpan | None = None):
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "body", body)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "_span", span)
 
 
 class ForAll(_Quantifier):

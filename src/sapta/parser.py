@@ -18,7 +18,8 @@ reentrant.
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from collections.abc import Sequence
+from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError, UnboundVariable
@@ -33,7 +34,7 @@ from .formulas import (
     free_variables,
 )
 
-__all__ = ["parse", "parse_formula_file", "NamedFormula", "tokenize", "Token"]
+__all__ = ["parse", "parse_formula_file", "NamedFormula", "tokenize", "Tokens", "Token"]
 
 
 class Token(NamedTuple):
@@ -79,11 +80,59 @@ _PREFIX = {kind: node for kind, node, _, _, assoc in OPERATORS if assoc == "pref
 _OPERAND_START = {*_PREFIX, "lparen", "ident"}
 
 
-def tokenize(text: str, *, line: int = 1, column: int = 1, offset: int = 0) -> list[Token]:
-    """Lex formula text into tokens, tracking byte offsets and line/column."""
+def tokenize(text: str, *, line: int = 1, column: int = 1, offset: int = 0) -> Tokens:
+    """Lex formula text into a :class:`Tokens` sequence, ``eof`` last.
+
+    Only the tokens' words and kinds are computed here.  ``list()`` of the
+    result is the ``list[Token]``, spans included, that ``tokenize``
+    returned when it built every span at once.  An unexpected character
+    raises here.
+    """
+    _, words, _, _, bad = zip(*_LEXEME.findall(text))
+    if any(bad):
+        _token_list(text, line, column, offset)  # raises at the first one
+    words = [*filter(None, words)]
+    kinds = [*map(_KIND.get, words, repeat("ident"))]
+    words.append("")
+    kinds.append("eof")
+    return Tokens(text, line, column, offset, words, kinds)
+
+
+class Tokens(Sequence):
+    """The tokens of one fragment: their ``words`` and ``kinds`` lists, and
+    the coordinates of the fragment's first character.  The :class:`Token`
+    objects, with their spans, are built all at once when the first element
+    is read, and kept."""
+
+    __slots__ = ("text", "line", "column", "offset", "words", "kinds", "_tokens")
+
+    def __init__(self, text: str, line: int, column: int, offset: int,
+                 words: list[str], kinds: list[str]):
+        self.text, self.line, self.column, self.offset = text, line, column, offset
+        self.words, self.kinds = words, kinds
+        self._tokens: list[Token] | None = None
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def _list(self) -> list[Token]:
+        if self._tokens is None:
+            self._tokens = _token_list(self.text, self.line, self.column, self.offset)
+        return self._tokens
+
+
+def _token_list(text: str, line: int, column: int, offset: int) -> list[Token]:
+    """Every token of `text` with its span, tracking byte offsets and
+    line/column; the package's one span computation."""
     # Tokens are built with tuple.__new__, which skips the Python-level
     # __new__ of the named tuples; there is one Token and one SourceSpan per
-    # token, and this halves the lexer's time.
+    # token, and this halves the pass's time.
     new = tuple.__new__
     kind_of = _KIND.get
     out: list[Token] = []
@@ -147,23 +196,26 @@ def _check_height(f: Formula) -> None:
 
 
 class _Parser:
-    """Precedence climbing over the token list; `kinds` is the tokens' kinds,
-    read by index so that most tokens are never touched as objects.  Atoms
-    named in `contexts` become guards."""
+    """Precedence climbing over the tokens' `kinds` and `words`, read by
+    index so that no Token is built unless an error needs its span.  A node
+    records its span as (tokens, first token, last token), which
+    ``Formula.span`` resolves when read.  Atoms named in `contexts` become
+    guards."""
 
-    def __init__(self, tokens: list[Token], contexts: frozenset[str]):
+    def __init__(self, tokens: Tokens, contexts: frozenset[str]):
         self.tokens = tokens
-        self.kinds = [tok.kind for tok in tokens]
+        self.kinds = tokens.kinds
+        self.words = tokens.words
         self.contexts = contexts
         self.pos = 0
         self.depth = 0  # constructs open around the current token
         self.operators = 0  # operators, quantifiers and parentheses read
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str) -> str:
         if self.kinds[self.pos] != kind:
             self.fail({kind})
         self.pos += 1
-        return self.tokens[self.pos - 1]
+        return self.words[self.pos - 1]
 
     def fail(self, expected: set[str]) -> None:
         tok = self.tokens[self.pos]
@@ -176,10 +228,10 @@ class _Parser:
             found=found,
         )
 
-    def nested(self, tok: Token, production, *args) -> Formula:
-        """Parse the sub-formula `tok` opens, one nesting level down."""
+    def nested(self, at: int, production, *args) -> Formula:
+        """Parse the sub-formula token `at` opens, one nesting level down."""
         if self.depth == MAX_DEPTH:
-            raise _too_deep(tok.span)
+            raise _too_deep(self.tokens[at].span)
         self.depth += 1
         self.operators += 1
         node = production(*args)
@@ -198,11 +250,11 @@ class _Parser:
             op_level, cls, right_assoc = row
             self.pos += 1
             if right_assoc:
-                rhs = self.nested(self.tokens[self.pos - 1], self.formula, op_level)
+                rhs = self.nested(self.pos - 1, self.formula, op_level)
             else:
                 self.operators += 1
                 rhs = self.formula(op_level + 1)
-            node = cls(node, rhs, _join(node, rhs))
+            node = cls(node, rhs, (self.tokens, node._span[1], rhs._span[2]))
 
     def unary(self) -> Formula:
         kinds, pos = self.kinds, self.pos
@@ -216,41 +268,30 @@ class _Parser:
                 self.expect("ident")
                 self.expect("rparen")
             self.pos = pos + 4
-            name, _, var, close = self.tokens[pos : pos + 4]
-            start, _, line, column = name.span
-            cls = ContextGuard if name.text in self.contexts else PredicateApp
-            return cls(name.text, var.text, SourceSpan(start, close.span.end, line, column))
-        tok = self.tokens[pos]
+            name = self.words[pos]
+            cls = ContextGuard if name in self.contexts else PredicateApp
+            return cls(name, self.words[pos + 2], (self.tokens, pos, pos + 3))
         cls = _PREFIX.get(kind)
         if cls is Not:
             self.pos += 1
-            operand = self.nested(tok, self.unary)
-            return Not(operand, _extend(tok.span, operand))
+            operand = self.nested(pos, self.unary)
+            return Not(operand, (self.tokens, pos, operand._span[2]))
         if cls is not None:  # a quantifier
             self.pos += 1
             var = self.expect("ident")
             self.expect("dot")
-            body = self.nested(tok, self.formula)
-            return cls(var.text, body, _extend(tok.span, body))
+            body = self.nested(pos, self.formula)
+            return cls(var, body, (self.tokens, pos, body._span[2]))
         if kind == "lparen":
             self.pos += 1
-            inner = self.nested(tok, self.formula)
+            inner = self.nested(pos, self.formula)
             self.expect("rparen")
             return inner
         self.fail(_OPERAND_START)
         raise AssertionError("unreachable")
 
 
-def _join(left: Formula, right: Formula) -> SourceSpan:
-    start, _, line, column = left.span
-    return SourceSpan(start, right.span.end, line, column)
-
-
-def _extend(start: SourceSpan, node: Formula) -> SourceSpan:
-    return SourceSpan(start.start, node.span.end, start.line, start.column)
-
-
-def _parse_tokens(tokens: list[Token], contexts: frozenset[str], require_closed: bool) -> Formula:
+def _parse_tokens(tokens: Tokens, contexts: frozenset[str], require_closed: bool) -> Formula:
     parser = _Parser(tokens, contexts)
     f = parser.formula()
     if parser.kinds[parser.pos] != "eof":
