@@ -56,9 +56,11 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBERS  # subparsers are built as type(self)
+    # Subparsers are built as type(self).  No flag may be abbreviated, so a
+    # usage error can read the output format off argv (see main).
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBERS
 
     # argparse exits 2 on usage errors; route through EX_USAGE instead.
     def error(self, message):
@@ -485,8 +487,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        # No parsed args on this path: read --format off argv.
-        if ("--format", "text") not in zip(argv, argv[1:]) and "--format=text" not in argv:
+        # No parsed args on this path: as in argparse, the last --format counts.
+        output_format = "json"
+        for arg, value in zip(argv, argv[1:] + [None]):
+            if arg.startswith("--format="):
+                output_format = arg[len("--format="):]
+            elif arg == "--format" and value is not None:
+                output_format = value
+        if output_format != "text":
             _emit_json({"error": {"kind": "UsageError", "message": str(exc), "span": None}})
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -190,9 +190,9 @@ def _check_height(f: Formula) -> None:
         node, depth = stack.pop()
         if depth > MAX_DEPTH:
             raise _too_deep(node.span)
-        for child in ("operand", "left", "right", "body"):
-            if hasattr(node, child):
-                stack.append((getattr(node, child), depth + 1))
+        for value in node._values():
+            if isinstance(value, Formula):
+                stack.append((value, depth + 1))
 
 
 class _Parser:
@@ -325,11 +325,6 @@ class NamedFormula(Record):
     """One entry of a formula file: an optional let-name, the AST, its line."""
 
     __slots__ = _fields = ("name", "formula", "line")
-
-    def __init__(self, name: str | None, formula: Formula, line: int):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "line", line)
 
 
 _LET = re.compile(rf"^(\s*let\s+)({_IDENT})(\s*=\s*)(.*)$")

@@ -35,6 +35,7 @@ __all__ = [
     "schema_formula_for",
     "judgments_from_json",
     "judgments_to_json",
+    "tag_for_values",
 ]
 
 
@@ -42,11 +43,6 @@ class Judgment(Record):
     """A (context, predicate, value) triple: one conditional assertion."""
 
     __slots__ = _fields = ("context", "predicate", "value")
-
-    def __init__(self, context: str, predicate: str, value: Tv3):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "value", value)
 
     def to_json(self) -> dict:
         return {"context": self.context, "predicate": self.predicate, "value": self.value.value}
@@ -98,7 +94,7 @@ _VALUE_ORDER = _ROWS[PredicationTag.P7][1]  # P7 asserts every value
 SANSKRIT_NAMES = {PredicationTag(f"P{k}"): name for k, (_, name) in PREDICATIONS.items()}
 
 
-class PredicationClass(Record):
+class PredicationClass(Record, defaults=((),)):
     """Classification result: a tag plus the witness contexts.
 
     For P1..P7, ``contexts_used`` lists one witness context per asserted
@@ -107,10 +103,6 @@ class PredicationClass(Record):
     """
 
     __slots__ = _fields = ("tag", "contexts_used")
-
-    def __init__(self, tag: PredicationTag, contexts_used: tuple[str, ...] = ()):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "contexts_used", contexts_used)
 
     @property
     def schema_index(self) -> int | None:
@@ -267,12 +259,6 @@ def canonical_witness(tag: PredicationTag) -> tuple[tuple[Judgment, ...], Model]
 
 class CertificateRow(Record):
     __slots__ = _fields = ("first", "second", "verdict", "reason")
-
-    def __init__(self, first: PredicationTag, second: PredicationTag, verdict: str, reason: str):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "reason", reason)
 
     def to_json(self) -> dict:
         return {

@@ -120,20 +120,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_projector(self) -> bool:
-        return bool(np.allclose(self.matrix @ self.matrix, self.matrix, atol=TOL))
-
-    @classmethod
-    def identity(cls, dim: int, label: str = "I") -> "Operator":
-        return cls(np.eye(dim), label)
-
-    @classmethod
-    def label_projector(cls, labels, keep, label: str = "") -> "Operator":
-        """Diagonal projector onto the basis states whose label is in `keep`."""
-        keep = set(keep)
-        diag = [1.0 if l in keep else 0.0 for l in labels]
-        return cls(np.diag(diag), label or f"proj[{','.join(sorted(keep))}]")
-
     def __repr__(self) -> str:
         return f"Operator({self.label or self.matrix.shape})"
 

@@ -442,11 +442,6 @@ CORPUS_ORDER = (
 class CorpusResult(Record):
     __slots__ = _fields = ("name", "report", "classified")
 
-    def __init__(self, name: str, report: ScenarioReport, classified: PredicationClass):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "report", report)
-        object.__setattr__(self, "classified", classified)
-
     @property
     def match(self) -> bool:
         return self.classified == self.report.expected_class

@@ -196,6 +196,30 @@ def test_usage_error_in_text_mode_prints_nothing_on_stdout(capsys, fmt):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv, text_mode", [
+    (["--format", "text", "--format", "json"], False),
+    (["--format=json", "--format", "text"], True),
+    (["--format", "json", "--format=text"], True),
+    (["--format=text", "--format=json"], False),
+])
+def test_usage_error_reads_the_last_format(capsys, argv, text_mode):
+    code, out, _ = run_cli(capsys, "corpus", *argv, "--bogus")
+    assert code == EX_USAGE
+    if text_mode:
+        assert out == ""
+    else:
+        assert json.loads(out)["error"]["kind"] == "UsageError"
+
+
+@pytest.mark.parametrize("abbreviation", ["--form", "--f", "--se", "--tri"])
+def test_abbreviated_flags_are_usage_errors(capsys, abbreviation):
+    # An abbreviation of --format would make the usage-error path guess the
+    # output format; no flag may be abbreviated, so there is nothing to guess.
+    code, out, _ = run_cli(capsys, "scenario", "cat", abbreviation, "text")
+    assert code == EX_USAGE
+    assert json.loads(out)["error"]["message"].startswith("unrecognized arguments: " + abbreviation)
+
+
 def test_unknown_command_exits_64(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == EX_USAGE
@@ -461,6 +485,22 @@ def test_package_names_still_resolve():
     assert "formulas" in dir(sapta) and sapta.formulas is formulas
     with pytest.raises(AttributeError):
         sapta.no_such_name
+
+
+def test_every_exported_name_has_one_home():
+    import importlib
+
+    import sapta
+
+    for module_name, names in sapta._HOMES.items():
+        module = importlib.import_module(f"sapta.{module_name}")
+        for name in names:
+            assert getattr(sapta, name) is getattr(module, name)
+            if module_name == "errors":  # no __all__: every public class is exported
+                assert not name.startswith("_")
+            else:
+                assert name in module.__all__, (module_name, name)
+    assert sorted(sapta.__all__) == sorted(name for names in sapta._HOMES.values() for name in names)
 
 
 _HIDE_NUMPY = (

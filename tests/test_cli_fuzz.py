@@ -1,7 +1,8 @@
 """Random formula text, random JSON and random flags through every subcommand.
 
 Whatever the input, `main()` returns one of the documented exit codes and,
-under ``--format json``, prints exactly one JSON object.
+under ``--format json``, prints exactly one JSON object.  As for argparse,
+the last ``--format`` given sets the format, on a usage error too.
 """
 import contextlib
 import io
@@ -77,10 +78,16 @@ SCENARIO_FLAGS = st.lists(st.one_of(
     st.tuples(st.sampled_from(["--no-one-slit-observed", "--no-two-slits-unobserved"])),
 ), max_size=4).map(lambda flags: [part for flag in flags for part in flag])
 
+# Up to two output-format flags, in either spelling, in any order with --bogus.
+FORMAT_FLAGS = st.lists(
+    st.sampled_from([["--format", "json"], ["--format", "text"], ["--format=json"], ["--format=text"]]),
+    max_size=2,
+)
+
 
 @st.composite
 def invocations(draw):
-    """(argv, files) for one subcommand, with a random output format."""
+    """(argv, files, output format) for one subcommand, with random format flags."""
     command = draw(st.sampled_from(["parse", "eval", "classify", "scenario", "corpus", "exclusivity"]))
     files = {}
     if command == "parse":
@@ -103,14 +110,17 @@ def invocations(draw):
         argv = ["corpus", "--seed", draw(SMALL_INTS)]
     else:
         argv = ["exclusivity"]
-    argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"], ["--bogus"]]))
-    return argv, files
+    tail = draw(st.permutations(draw(FORMAT_FLAGS) + draw(st.sampled_from([[], [["--bogus"]]]))))
+    argv += [part for flag in tail for part in flag]
+    formats = [flag[-1].removeprefix("--format=") for flag in tail if flag != ["--bogus"]]
+    output_format = formats[-1] if formats else "json"
+    return argv, files, output_format
 
 
 @settings(max_examples=200, deadline=None)
 @given(invocations())
 def test_every_subcommand_keeps_the_cli_contract(tmp_path_factory, case):
-    argv, files = case
+    argv, files, output_format = case
     directory = tmp_path_factory.mktemp("fuzz")
     for name, text in files.items():
         (directory / name).write_text(text, encoding="utf-8")
@@ -119,5 +129,7 @@ def test_every_subcommand_keeps_the_cli_contract(tmp_path_factory, case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in EXIT_CODES, (argv, code)
-    if "text" not in argv:
+    if output_format == "text":
+        assert not out.getvalue().startswith("{"), (argv, out.getvalue())
+    else:
         assert isinstance(json.loads(out.getvalue()), dict), (argv, out.getvalue())

@@ -139,26 +139,13 @@ def test_tensor_preserves_normalization():
         assert abs(tensor_product(a, b).norm() - 1.0) <= ATOL
 
 
-# -- operators -----------------------------------------------------------------------
-
-
-def test_label_projector_and_projector_check():
-    labels = ("L⊗H", "L⊗V", "R⊗H", "R⊗V")
-    proj = Operator.label_projector(labels, {"L⊗H", "L⊗V"})
-    assert proj.is_projector()
-    sigma_y = Operator(np.array([[0, -1j], [1j, 0]]))
-    assert not sigma_y.is_projector()
-    with pytest.raises(ValueError):
-        Operator(np.zeros((2, 3)))
-
-
 # -- weak values ----------------------------------------------------------------------
 
 
 def test_weak_value_of_identity_is_one():
     rng = np.random.default_rng(23)
     labels = ("a", "b", "c")
-    eye = Operator.identity(3)
+    eye = Operator(np.eye(3))
     for _ in range(20):
         pre = random_state(rng, labels)
         post = random_state(rng, labels)
@@ -210,13 +197,15 @@ def test_orthogonal_selection_rejected():
     a = StateVector([1, 0], ("a", "b"))
     b = StateVector([0, 1], ("a", "b"))
     with pytest.raises(OrthogonalSelection):
-        weak_value(Operator.identity(2), a, b)
+        weak_value(Operator(np.eye(2)), a, b)
 
 
 def test_weak_value_dimension_mismatch():
     a = StateVector([1, 0], ("a", "b"))
     with pytest.raises(DimensionMismatch):
-        weak_value(Operator.identity(3), a, a)
+        weak_value(Operator(np.eye(3)), a, a)
+    with pytest.raises(ValueError):
+        Operator(np.zeros((2, 3)))
 
 
 # -- entangled-pair basis change -------------------------------------------------------

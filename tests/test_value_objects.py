@@ -3,24 +3,29 @@
 Every class here is immutable and compares by class and fields: equal
 objects hash equally, a differing field or a different class (a subclass
 included) makes them unequal, AST spans take no part in equality or repr,
-and pickle and deep copy give back an equal object.
+and pickle and deep copy give back an equal object.  Each constructor
+takes the class's ``_fields`` in order; the parameters are pinned here.
 """
 import copy
+import importlib
 import inspect
 import pickle
 
 import pytest
 
+import sapta
 from sapta.formulas import (
     And,
     ContextGuard,
     Exists,
     ForAll,
+    Formula,
     Iff,
     Implies,
     Not,
     Or,
     PredicateApp,
+    Record,
     SourceSpan,
 )
 from sapta.parser import NamedFormula
@@ -217,3 +222,122 @@ def test_scenario_report_to_json():
         "expectedClass": P4.to_json(),
         "numericWitness": {"w": 0.5},
     }
+
+
+# class -> its constructor's parameters, with their defaults.
+SIGNATURES = {
+    PredicateApp: "name, var, span=None",
+    ContextGuard: "context, var, span=None",
+    Not: "operand, span=None",
+    And: "left, right, span=None",
+    Or: "left, right, span=None",
+    Implies: "left, right, span=None",
+    Iff: "left, right, span=None",
+    ForAll: "var, body, span=None",
+    Exists: "var, body, span=None",
+    NamedFormula: "name, formula, line",
+    ContextDef: "name, extension=()",
+    Judgment: "context, predicate, value",
+    PredicationClass: "tag, contexts_used=()",
+    CertificateRow: "first, second, verdict, reason",
+    ScenarioReport: "scenario_name, model, judgments, expected_class, numeric_witness=None",
+    CorpusResult: "name, report, classified",
+}
+
+# The records whose constructor does more than store its arguments.
+HAND_WRITTEN = {ContextDef, ScenarioReport}
+
+
+def _parameters(cls) -> str:
+    return ", ".join(
+        p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+        for p in inspect.signature(cls).parameters.values()
+    )
+
+
+def _package_records():
+    """Every Record subclass defined in the package, all modules imported."""
+    for module in sapta._HOMES:
+        importlib.import_module(f"sapta.{module}")
+    found, todo = [], [Record]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        todo += subclasses
+        found += [cls for cls in subclasses if cls.__module__.startswith("sapta.")]
+    return found
+
+
+@pytest.mark.parametrize("cls", SIGNATURES, ids=lambda c: c.__name__)
+def test_constructor_parameters_are_pinned(cls):
+    assert _parameters(cls) == SIGNATURES[cls]
+    kinds = {p.kind for p in inspect.signature(cls).parameters.values()}
+    assert kinds == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_constructor_takes_keywords(cls):
+    fields = CLASSES[cls][0]
+    by_name = dict(zip(cls._fields, fields))
+    assert cls(**by_name) == cls(*fields)
+    if cls in NODES:
+        assert cls(**by_name, span=SPAN_A).span == SPAN_A
+        assert cls(*fields, span=SPAN_A) == cls(*fields)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_wrong_arity_names_the_class(cls):
+    # The class that declares the fields: And shares _Binary's constructor.
+    owner = next(c for c in cls.__mro__ if "_fields" in vars(c)).__qualname__
+    count = len(inspect.signature(cls).parameters)
+    with pytest.raises(TypeError, match=rf"^{owner}\.__init__\(\) missing"):
+        cls()
+    with pytest.raises(TypeError, match=rf"^{owner}\.__init__\(\) takes"):
+        cls(*range(count + 1))
+    with pytest.raises(TypeError, match=rf"^{owner}\.__init__\(\) got an unexpected"):
+        cls(*CLASSES[cls][0], bogus=1)
+
+
+def test_every_package_record_takes_its_fields():
+    records = _package_records()
+    assert {cls for cls in records if cls._fields and cls.__name__[0] != "_"} == set(SIGNATURES)
+    for cls in records:
+        if not cls._fields:  # Formula and _Atom are abstract
+            continue
+        expected = [*cls._fields, "span"] if issubclass(cls, Formula) else list(cls._fields)
+        assert list(inspect.signature(cls).parameters) == expected, cls
+    hand_written = {
+        cls for cls in records
+        if "__init__" in vars(cls) and vars(cls)["__init__"].__code__.co_filename != "<string>"
+    }
+    assert hand_written == HAND_WRITTEN
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_subclass_without_fields_inherits_the_constructor(cls):
+    sub = _subclass(cls)
+    assert sub.__init__ is cls.__init__
+    fields = CLASSES[cls][0]
+    assert sub(*fields)._values() == cls(*fields)._values()
+
+
+def test_node_classes_share_their_base_constructor():
+    assert And.__init__ is Or.__init__ is Implies.__init__ is Iff.__init__
+    assert ForAll.__init__ is Exists.__init__
+    assert "__init__" not in vars(And) and "__init__" not in vars(ForAll)
+
+
+def test_a_new_record_gets_a_constructor_with_defaults():
+    class Pair(Record, defaults=(0,)):
+        __slots__ = _fields = ("first", "second")
+
+    class Triple(Pair, defaults=(None,)):
+        __slots__ = ("third",)
+        _fields = ("first", "second", "third")
+
+    assert _parameters(Pair) == "first, second=0"
+    assert Pair(1) == Pair(1, 0) == Pair(first=1, second=0)
+    assert repr(Pair(1, second=2)).endswith("<locals>.Pair(first=1, second=2)")
+    assert _parameters(Triple) == "first, second, third=None"
+    assert Triple(1, 2)._values() == (1, 2, None)
+    with pytest.raises(AttributeError):
+        Pair(1).first = 2
