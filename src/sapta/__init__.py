@@ -54,6 +54,11 @@ SCENARIO_NAMES = ("double_slit", "cat", "wigner", "epr", "qcc", "threshold")
 # level count: a `--format text` run peaks at about 22 MB RSS at 256 levels
 # and 85 MB at 1,000.
 MAX_LEVELS = 256
+# Most outcomes one `scenario cat --open --trials` run samples.  Memory stays
+# constant, since the draws come in fixed-size chunks, but time grows with
+# the count: 10^8 trials take about 0.9 s on one Xeon core, so the limit
+# takes about 9 s.
+MAX_TRIALS = 10**9
 
 
 def __getattr__(name: str):

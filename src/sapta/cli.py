@@ -16,7 +16,7 @@ import re
 import sys
 from json.encoder import encode_basestring
 
-from . import MAX_LEVELS, SCENARIO_NAMES
+from . import MAX_LEVELS, MAX_TRIALS, SCENARIO_NAMES
 from .errors import ModelError, ParseError, SaptaError
 
 __all__ = ["main", "entry", "build_parser"]
@@ -45,6 +45,13 @@ def _non_negative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return value
+
+
+def _trial_count(text: str) -> int:
+    value = _non_negative_int(text)
+    if value > MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"invalid trial count: {text!r} is above {MAX_TRIALS}")
     return value
 
 
@@ -102,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scenario.add_argument("name", choices=SCENARIO_NAMES)
     p_scenario.add_argument("--seed", type=_non_negative_int, default=0, help="non-negative sampling seed")
     p_scenario.add_argument("--open", action="store_true", help="cat: open the box")
-    p_scenario.add_argument("--trials", type=_non_negative_int, help="cat: sample this many outcomes")
+    p_scenario.add_argument(
+        "--trials", type=_trial_count, help=f"cat: sample this many outcomes, at most {MAX_TRIALS}"
+    )
     p_scenario.add_argument(
         "--perspective", choices=("friend", "wigner", "combined"), default="combined"
     )
@@ -134,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # The commands' callees.  Each looks its name up in the package when it is
 # called, and the package loads it from its home module on first use, so that
-# a command loads only the modules it runs (`scenario` and `corpus` alone load
-# numpy).  They stay names of this module so that a caller can rebind them, as
-# the traced benchmark replay and the tests do.
+# a command loads only the modules it runs (only `scenario cat --open --trials`
+# loads numpy).  They stay names of this module so that a caller can rebind
+# them, as the traced benchmark replay and the tests do.
 
 
 def _deferred(path: str):
@@ -502,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         raise  # stdout is gone: no error report can be written to it
-    # ModuleNotFoundError: numpy is missing and the command needs it.
+    # ModuleNotFoundError: numpy is missing and `scenario cat --trials` needs it.
     except (SaptaError, OSError, json.JSONDecodeError, ValueError, ModuleNotFoundError) as exc:
         if args.format == "json":
             _emit_json({"error": _error_payload(exc)})

@@ -8,6 +8,7 @@ is normally introduced by :func:`schema` or by ``parse(..., contexts=...)``.
 """
 from __future__ import annotations
 
+from types import FunctionType
 from typing import Iterable, NamedTuple
 
 from .errors import ArityMismatch, DuplicateContext
@@ -50,6 +51,10 @@ class SourceSpan(NamedTuple):
         return {"start": self.start, "end": self.end, "line": self.line, "column": self.column}
 
 
+# The code of every constructor `_constructor` has built.
+_GENERATED: set = set()
+
+
 class Record:
     """Immutable value object whose identity is its class and ``_fields``.
 
@@ -63,8 +68,10 @@ class Record:
     is created; a class keyword ``defaults=(...)`` gives the last fields
     defaults, as for ``collections.namedtuple``.  A ``Formula`` node's
     constructor takes ``span=None`` after its fields.  A subclass without
-    ``_fields`` of its own inherits its parent's constructor; one whose
-    constructor must do more than store its arguments writes ``__init__``.
+    ``_fields`` of its own gets a copy of its parent's generated constructor
+    under its own name, so that a wrong-arity call names the class called;
+    one whose constructor must do more than store its arguments writes
+    ``__init__``.
     """
 
     __slots__ = ()
@@ -72,8 +79,15 @@ class Record:
 
     def __init_subclass__(cls, defaults=(), **kwargs):
         super().__init_subclass__(**kwargs)
-        if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
+        if "__init__" in cls.__dict__:
+            return
+        if "_fields" in cls.__dict__:
             cls.__init__ = _constructor(cls, tuple(defaults))
+        elif getattr(cls.__init__, "__code__", None) in _GENERATED:
+            f = cls.__init__
+            init = FunctionType(f.__code__, f.__globals__, f.__name__, f.__defaults__, f.__closure__)
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -151,6 +165,7 @@ def _constructor(cls, defaults: tuple):
     init = namespace["__init__"]
     init.__defaults__ = defaults
     init.__qualname__ = f"{cls.__qualname__}.__init__"
+    _GENERATED.add(init.__code__)
     return init
 
 

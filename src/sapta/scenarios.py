@@ -5,14 +5,16 @@ set over mutually incompatible observation contexts, and packages both with
 the model and the expected predication class into a ScenarioReport.  All
 randomness comes from numpy's seeded PCG64 generator
 (``numpy.random.default_rng``), so reports are reproducible bit-for-bit
-given the same parameters and seed.
+given the same parameters and seed.  The one draw an opened box needs is
+computed in pure Python (``_first_draw``); only a cat run with ``trials``
+imports numpy, for its bulk sample.
 """
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
 
-from . import MAX_LEVELS, SCENARIO_NAMES
+from . import MAX_LEVELS, MAX_TRIALS, SCENARIO_NAMES
 from .errors import BadCuts
 from .formulas import Record
 from .predication import (
@@ -28,10 +30,13 @@ from .quantum import (
     Operator,
     StateVector,
     complex_to_json,
+    divide,
     fringe_visibility,
     inner_product,
-    np,
+    kron,
+    norm,
     tensor_product,
+    vdot,
     weak_value,
 )
 from .semantics import Model
@@ -150,6 +155,64 @@ def scenario_double_slit(
 # Draws per chunk when the cat scenario samples --trials outcomes.
 _CAT_CHUNK = 1 << 16
 
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+
+
+def _first_draw(seed: int) -> float:
+    """``numpy.random.default_rng(seed).random()``, computed without numpy.
+
+    numpy's ``SeedSequence`` hashes the seed's 32-bit words into a pool of
+    four and draws four 64-bit words from it; PCG64 (O'Neill 2014) takes
+    them as a 128-bit state and stream, steps its 128-bit LCG and permutes
+    the state into 64 output bits (XSL-RR), and ``random()`` keeps the top
+    53 of them.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): eight 32-bit words, paired low word first.
+    hash_const = 0x8B51F9DD
+    halves = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        halves.append(value ^ value >> 16)
+    high, low, inc_high, inc_low = (halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2))
+
+    multiplier = 0x2360ED051FC65DA44385DF649FCCF645
+    increment = ((inc_high << 64 | inc_low) << 1 | 1) & _M128
+    state = (increment + (high << 64 | low)) * multiplier + increment & _M128
+    state = state * multiplier + increment & _M128
+    rotation = state >> 122
+    folded = (state >> 64 ^ state) & _M64
+    out = (folded >> rotation | folded << (64 - rotation)) & _M64
+    return (out >> 11) * 2.0**-53
+
 
 def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> ScenarioReport:
     """Sealed-box superposition versus an opened-box observation.
@@ -172,9 +235,15 @@ def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> Sc
     else:
         if trials is not None and trials < 0:
             raise ValueError(f"trials must be non-negative, got {trials}")
-        rng = np.random.default_rng(seed)
-        alive = bool(rng.random(1)[0] < p_alive)
-        if trials:
+        if trials is not None and trials > MAX_TRIALS:
+            raise ValueError(f"at most {MAX_TRIALS} trials are allowed, got {trials}")
+        if not trials:
+            alive = _first_draw(seed) < p_alive
+        else:
+            import numpy as np  # only the bulk sample needs numpy
+
+            rng = np.random.default_rng(seed)
+            alive = bool(rng.random() < p_alive)
             # The remaining draws come from the same stream in chunks, so
             # memory stays constant; a sum of 0/1 counts is exact, so the
             # frequency equals the mean over one array of all draws.
@@ -199,7 +268,7 @@ def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> Sc
 def find_cat_seed(base_seed: int, want_alive: bool) -> int:
     """Smallest seed >= base_seed whose first draw gives the wanted outcome."""
     seed = base_seed
-    while (float(np.random.default_rng(seed).random(1)[0]) < 0.5) != want_alive:
+    while (_first_draw(seed) < 0.5) != want_alive:
         seed += 1
     return seed
 
@@ -224,12 +293,10 @@ def scenario_wigner(perspective: str = "combined", friend_outcome: str = "up") -
     spin = StateVector([1 / _SQRT2, 1 / _SQRT2], ("up", "down"))
     up = friend_outcome == "up"
     collapsed = StateVector([1, 0] if up else [0, 1], ("up", "down"))
-    # The outsider's description: system and friend records correlated.
-    amps = (
-        np.kron([1, 0], [1, 0]).astype(complex) + np.kron([0, 1], [0, 1]).astype(complex)
-    ) / _SQRT2
+    # The outsider's description, system and friend records correlated:
+    # (|up>|F_up> + |down>|F_down>)/sqrt(2).
     composite = StateVector(
-        amps, ("up⊗F_up", "up⊗F_down", "down⊗F_up", "down⊗F_down")
+        [1 / _SQRT2, 0, 0, 1 / _SQRT2], ("up⊗F_up", "up⊗F_down", "down⊗F_up", "down⊗F_down")
     )
     probs = composite.probabilities()
     witness: dict[str, float | complex] = {
@@ -276,19 +343,23 @@ def scenario_epr(basis: str = "zero_one") -> ScenarioReport:
         raise ValueError(f"basis must be 'zero_one' or 'plus_minus', got {basis!r}")
 
     labels = ("A0⊗B0", "A0⊗B1", "A1⊗B0", "A1⊗B1")
-    direct = np.array([1 / _SQRT2, 0, 0, 1 / _SQRT2], dtype=complex)
+    half = complex(1 / _SQRT2)
+    direct = (half, 0j, 0j, half)
 
-    a_plus = np.array([1, 1], dtype=complex) / _SQRT2
-    a_minus = np.array([1, -1], dtype=complex) / _SQRT2
-    rotated = (np.kron(a_plus, a_plus) + np.kron(a_minus, a_minus)) / _SQRT2
-    max_diff = float(np.max(np.abs(direct - rotated)))
+    a_plus = (half, half)
+    a_minus = (half, complex(-1 / _SQRT2))
+    rotated = [
+        divide(x + y, _SQRT2) for x, y in zip(kron(a_plus, a_plus), kron(a_minus, a_minus))
+    ]
+    max_diff = max(abs(x - y) for x, y in zip(direct, rotated))
 
-    entangled = StateVector(direct, labels)
-    amp_matrix = entangled.amplitudes.reshape(2, 2)  # rows: A outcome, cols: B
-    alice = np.array([1, 0], dtype=complex) if basis == "zero_one" else a_plus
-    conditional_raw = np.conj(alice) @ amp_matrix
-    outcome_prob = float(np.linalg.norm(conditional_raw) ** 2)
-    conditional_b = conditional_raw / np.linalg.norm(conditional_raw)
+    amps = StateVector(direct, labels).amplitudes  # A outcome major, B minor
+    alice = (1 + 0j, 0j) if basis == "zero_one" else a_plus
+    # <alice| on the A factor: one inner product per column of B amplitudes.
+    conditional_raw = [vdot(alice, amps[b::2]) for b in range(2)]
+    length = norm(conditional_raw)
+    outcome_prob = length**2
+    conditional_b = [divide(z, length) for z in conditional_raw]
 
     judgments = (
         Judgment("basis_zero_one", "b_in_state_b0", Tv3.TRUE),
@@ -301,14 +372,19 @@ def scenario_epr(basis: str = "zero_one") -> ScenarioReport:
     witness: dict[str, float | complex] = {
         "max_amplitude_difference": max_diff,
         "alice_outcome_probability": outcome_prob,
-        "conditional_b_amp_0": complex(conditional_b[0]),
-        "conditional_b_amp_1": complex(conditional_b[1]),
+        "conditional_b_amp_0": conditional_b[0],
+        "conditional_b_amp_1": conditional_b[1],
     }
     return ScenarioReport("epr", model, judgments, expected, witness)
 
 
 # ---------------------------------------------------------------------------
 # Quantum Cheshire cat.
+
+
+def _kron_matrix(a, b):
+    """Kronecker product of two matrices given as rows."""
+    return [kron(row_a, row_b) for row_a in a for row_b in b]
 
 
 def scenario_qcc() -> ScenarioReport:
@@ -324,19 +400,18 @@ def scenario_qcc() -> ScenarioReport:
     path = StateVector([1j / _SQRT2, 1 / _SQRT2], ("L", "R"))
     horizontal = StateVector([1, 0], ("H", "V"))
     pre = tensor_product(path, horizontal)
-    post_amps = (
-        np.kron([1, 0], [1, 0]).astype(complex) + np.kron([0, 1], [0, 1]).astype(complex)
-    ) / _SQRT2
-    post = StateVector(post_amps, pre.labels)
+    post = StateVector([1 / _SQRT2, 0, 0, 1 / _SQRT2], pre.labels)
 
-    eye2 = np.eye(2)
-    proj_l = Operator(np.kron(np.diag([1.0, 0.0]), eye2), "path_L")
-    proj_r = Operator(np.kron(np.diag([0.0, 1.0]), eye2), "path_R")
+    on_l = ((1 + 0j, 0j), (0j, 0j))
+    on_r = ((0j, 0j), (0j, 1 + 0j))
+    eye2 = ((1 + 0j, 0j), (0j, 1 + 0j))
+    proj_l = Operator(_kron_matrix(on_l, eye2), "path_L")
+    proj_r = Operator(_kron_matrix(on_r, eye2), "path_R")
     # Circular polarization |+i><+i| - |-i><-i| in the H/V basis, confined
     # per arm by the path projector; swappable without touching judgments.
-    sigma_circ = np.array([[0, -1j], [1j, 0]])
-    pol_l = Operator(np.kron(np.diag([1.0, 0.0]), sigma_circ), "circ_pol_in_L")
-    pol_r = Operator(np.kron(np.diag([0.0, 1.0]), sigma_circ), "circ_pol_in_R")
+    sigma_circ = ((0j, -1j), (1j, 0j))
+    pol_l = Operator(_kron_matrix(on_l, sigma_circ), "circ_pol_in_L")
+    pol_r = Operator(_kron_matrix(on_r, sigma_circ), "circ_pol_in_R")
 
     witness: dict[str, float | complex] = {
         "overlap_post_pre": inner_product(post, pre),

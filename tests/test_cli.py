@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 import sapta.cli as cli
 from sapta.cli import EX_ERROR, EX_MISMATCH, EX_OK, EX_USAGE, main
 from sapta.predication import PredicationClass, PredicationTag
-from sapta import SCENARIO_NAMES
+from sapta import MAX_TRIALS, SCENARIO_NAMES
 from sapta.scenarios import MAX_LEVELS
 
 
@@ -424,9 +424,8 @@ def _child_env():
 
 
 def test_import_does_not_run_numpy(tmp_path, cat_files):
-    # Each command imports only the modules it runs: only scenario and corpus
-    # need numpy, `scenario threshold` never executes it (numpy is imported
-    # lazily), and no module needs dataclasses.
+    # Each command imports only the modules it runs: only `scenario cat` with
+    # --trials needs numpy, and no module needs dataclasses.
     model, judgments = cat_files
     formulas = tmp_path / "f.lgc"
     formulas.write_text("forall x. (box_open(x) -> alive(x))\n")
@@ -445,8 +444,13 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
         (["eval", str(formulas), "--model", str(model)], never | {"sapta.predication"}),
         (["classify", str(judgments), "--model", str(model)], never),
         (["exclusivity"], never),
-        (["scenario", "threshold"], {"dataclasses", "numpy._core", "numpy.core"}),
     ]
+    numpy_free = {"dataclasses", "numpy"}
+    cases += [
+        (["scenario", name], numpy_free)
+        for name in ("double_slit", "wigner", "epr", "qcc", "threshold")
+    ]
+    cases += [(["scenario", "cat", "--open", "--seed", "7"], numpy_free), (["corpus"], numpy_free)]
     for argv, absent in cases:
         done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                               text=True, check=True, env=_child_env())
@@ -512,7 +516,9 @@ _HIDE_NUMPY = (
 )
 
 
-@pytest.mark.parametrize("command", ["parse", "eval", "classify", "exclusivity", "scenario", "corpus"])
+@pytest.mark.parametrize(
+    "command", ["parse", "eval", "classify", "exclusivity", "scenario", "corpus", "cat_trials"]
+)
 def test_commands_without_numpy(tmp_path, cat_files, command):
     model, judgments = cat_files
     formulas = tmp_path / "f.lgc"
@@ -524,26 +530,19 @@ def test_commands_without_numpy(tmp_path, cat_files, command):
         "exclusivity": ["exclusivity"],
         "scenario": ["scenario", "epr"],
         "corpus": ["corpus"],
+        "cat_trials": ["scenario", "cat", "--open", "--trials", "10"],
     }[command]
     done = subprocess.run([sys.executable, "-c", _HIDE_NUMPY, *argv], capture_output=True,
                           text=True, env=_child_env())
     assert "Traceback" not in done.stderr
     data = json.loads(done.stdout)
-    if command in ("scenario", "corpus"):
+    if command == "cat_trials":  # only the bulk sample needs numpy
         assert done.returncode == EX_ERROR
         assert data["error"]["kind"] == "ModuleNotFoundError"
         assert "numpy" in data["error"]["message"]
     else:
         assert done.returncode == EX_OK, done.stderr
         assert "error" not in data
-
-
-def test_lazy_import_of_a_missing_module_names_it():
-    from sapta.quantum import _lazy_import
-
-    with pytest.raises(ModuleNotFoundError, match="no_such_module_here") as info:
-        _lazy_import("no_such_module_here")
-    assert info.value.name == "no_such_module_here"
 
 
 @pytest.mark.parametrize("argv", [
@@ -567,6 +566,19 @@ def test_negative_trials_is_a_usage_error(capsys, flags):
     message = "argument --trials: invalid non-negative int value: '-5'"
     assert json.loads(out)["error"]["message"] == message
     assert message in err
+
+
+def test_trials_limit_is_checked_before_any_draw(capsys, monkeypatch):
+    # Only parsed here: the limit itself would sample for seconds.
+    argv = ["scenario", "cat", "--open", "--trials", str(MAX_TRIALS)]
+    assert cli.build_parser().parse_args(argv).trials == MAX_TRIALS
+    monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy fails
+    for flags in (["--open"], []):
+        code, out, err = run_cli(capsys, "scenario", "cat", *flags, "--trials", str(MAX_TRIALS + 1))
+        assert code == EX_USAGE
+        message = f"argument --trials: invalid trial count: '{MAX_TRIALS + 1}' is above {MAX_TRIALS}"
+        assert json.loads(out)["error"]["message"] == message
+        assert message in err
 
 
 @pytest.mark.parametrize("levels", ["a,b", "0.5,x", "0.1;0.2"])

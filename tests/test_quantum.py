@@ -10,6 +10,7 @@ from sapta.quantum import (
     Operator,
     StateVector,
     complex_to_json,
+    divide,
     fringe_visibility,
     inner_product,
     tensor_product,
@@ -63,8 +64,30 @@ def test_rejects_non_finite_entries(bad):
 
 def test_amplitudes_immutable():
     sv = StateVector([1, 0], ("a", "b"))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         sv.amplitudes[0] = 0.5
+    op = Operator(np.eye(2))
+    with pytest.raises(TypeError):
+        op.matrix[0][0] = 2
+
+
+def test_operator_needs_square_rows():
+    for bad in ([1, 0], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError, match="operator matrix"):
+            Operator(bad)
+    assert Operator([[1, 2j], [3, 4]]).matrix == ((1, 2j), (3, 4))
+    assert repr(Operator(np.eye(3))) == "Operator((3, 3))"
+
+
+def test_divide_is_numpys_quotient():
+    # numpy divides by Smith's method scaled by one reciprocal, so a quotient
+    # is not Python's; `divide` takes numpy's steps and agrees to the last bit.
+    rng = np.random.default_rng(41)
+    for ar, ai, br, bi in rng.normal(size=(2000, 4)):
+        a = complex(ar, ai)
+        for b in (complex(br, bi), complex(br, 0.0), complex(0.0, bi)):
+            assert repr(divide(a, b)) == repr(complex(np.complex128(a) / np.complex128(b)))
+        assert repr(divide(a, br)) == repr(complex((np.array([a]) / br)[0]))
 
 
 def test_random_states_normalized():

@@ -1,10 +1,13 @@
 """Scenario generators and the built-in corpus."""
 import math
+import sys
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from sapta import scenarios
+from sapta import MAX_TRIALS, scenarios
 from sapta.errors import BadCuts
 from sapta.predication import PredicationTag, classify, schema_formula_for
 from sapta.scenarios import (
@@ -123,6 +126,46 @@ def test_cat_negative_trials_rejected():
         scenario_cat(open_box=True, trials=-1)
 
 
+def test_cat_trials_limit_checked_before_the_first_draw(monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("drew before checking the trial count")
+
+    monkeypatch.setattr(scenarios, "_first_draw", no_draw)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy fails
+    with pytest.raises(ValueError, match=f"at most {MAX_TRIALS} trials"):
+        scenario_cat(open_box=True, trials=MAX_TRIALS + 1)
+    # The limit itself passes the check and goes on to import numpy for the
+    # bulk sample, which fails here before a single draw.
+    with pytest.raises(ImportError):
+        scenario_cat(open_box=True, trials=MAX_TRIALS)
+
+
+def test_cat_negative_seed_rejected():
+    # As numpy's default_rng rejects one.
+    with pytest.raises(ValueError, match="non-negative"):
+        scenario_cat(open_box=True, seed=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        find_cat_seed(-1, want_alive=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 2**128 - 1), st.integers(2**128, 2**2000)))
+@example(0)
+@example(2**32 - 1)
+@example(2**32)
+@example(2**64 + 5)
+@example(2**128 - 1)
+@example(2**128)
+def test_first_draw_equals_numpy(seed):
+    assert scenarios._first_draw(seed) == np.random.default_rng(seed).random()
+
+
+def test_first_draw_equals_numpy_on_every_small_seed():
+    # The seeds the corpus and find_cat_seed search most.
+    for seed in range(2000):
+        assert scenarios._first_draw(seed) == np.random.default_rng(seed).random(), seed
+
+
 def test_cat_born_probability():
     report = scenario_cat(open_box=False)
     assert report.numeric_witness["p_alive"] == pytest.approx(0.5, abs=ATOL)
@@ -226,6 +269,67 @@ def test_qcc_classifies_to_p7():
     for i in range(len(contexts)):
         for j in range(i + 1, len(contexts)):
             assert report.model.incompatible(contexts[i], contexts[j])
+
+
+# -- numpy as the reference ---------------------------------------------------------
+
+
+def _numpy_witnesses():
+    """The quantum witnesses as numpy computes them, scenario by scenario."""
+    s2 = SQRT2
+    norm = np.linalg.norm
+    out = {}
+    for outcome in ("up", "down"):
+        composite = (np.kron([1, 0], [1, 0]) + np.kron([0, 1], [0, 1])).astype(complex) / s2
+        probs = np.abs(composite) ** 2
+        collapsed = np.array([1, 0] if outcome == "up" else [0, 1], dtype=complex)
+        out["wigner", outcome] = {
+            "composite_norm": float(norm(composite)),
+            "prob_friend_up": float(probs[0] + probs[1]),
+            "prob_friend_down": float(probs[2] + probs[3]),
+            "collapsed_amp_up": complex(collapsed[0]),
+            "pre_measurement_amp_up": complex(1 / s2),
+        }
+    direct = np.array([1 / s2, 0, 0, 1 / s2], dtype=complex)
+    a_plus = np.array([1, 1], dtype=complex) / s2
+    a_minus = np.array([1, -1], dtype=complex) / s2
+    rotated = (np.kron(a_plus, a_plus) + np.kron(a_minus, a_minus)) / s2
+    for basis, alice in (("zero_one", np.array([1, 0], dtype=complex)), ("plus_minus", a_plus)):
+        raw = np.conj(alice) @ direct.reshape(2, 2)
+        conditional = raw / norm(raw)
+        out["epr", basis] = {
+            "max_amplitude_difference": float(np.max(np.abs(direct - rotated))),
+            "alice_outcome_probability": float(norm(raw) ** 2),
+            "conditional_b_amp_0": complex(conditional[0]),
+            "conditional_b_amp_1": complex(conditional[1]),
+        }
+    pre = np.kron(np.array([1j, 1]) / s2, [1, 0])
+    post = (np.kron([1, 0], [1, 0]) + np.kron([0, 1], [0, 1])).astype(complex) / s2
+    on_l, on_r = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    sigma = np.array([[0, -1j], [1j, 0]])
+    overlap = np.vdot(post, pre)
+    qcc = {"overlap_post_pre": complex(overlap)}
+    for name, matrix in (
+        ("path_L", np.kron(on_l, np.eye(2))),
+        ("path_R", np.kron(on_r, np.eye(2))),
+        ("polarization_L", np.kron(on_l, sigma)),
+        ("polarization_R", np.kron(on_r, sigma)),
+    ):
+        qcc[f"weak_value_{name}"] = complex(np.vdot(post, matrix.astype(complex) @ pre) / overlap)
+    out["qcc", None] = qcc
+    return out
+
+
+def test_witnesses_equal_numpys_to_the_last_bit():
+    # repr tells 0.4999999999999999 from 0.5 and -0.0 from 0.0.
+    build = {
+        "wigner": lambda outcome: scenario_wigner(friend_outcome=outcome),
+        "epr": scenario_epr,
+        "qcc": lambda _: scenario_qcc(),
+    }
+    for (name, variant), want in _numpy_witnesses().items():
+        got = build[name](variant).numeric_witness
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
 
 
 # -- threshold ---------------------------------------------------------------------

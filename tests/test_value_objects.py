@@ -27,6 +27,8 @@ from sapta.formulas import (
     PredicateApp,
     Record,
     SourceSpan,
+    _Binary,
+    _Quantifier,
 )
 from sapta.parser import NamedFormula
 from sapta.predication import (
@@ -286,8 +288,8 @@ def test_constructor_takes_keywords(cls):
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_wrong_arity_names_the_class(cls):
-    # The class that declares the fields: And shares _Binary's constructor.
-    owner = next(c for c in cls.__mro__ if "_fields" in vars(c)).__qualname__
+    # The class called, also where its fields and constructor come from a base.
+    owner = cls.__qualname__
     count = len(inspect.signature(cls).parameters)
     with pytest.raises(TypeError, match=rf"^{owner}\.__init__\(\) missing"):
         cls()
@@ -315,15 +317,36 @@ def test_every_package_record_takes_its_fields():
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_subclass_without_fields_inherits_the_constructor(cls):
     sub = _subclass(cls)
-    assert sub.__init__ is cls.__init__
+    assert sub.__init__.__code__ is cls.__init__.__code__
+    if "__init__" in vars(sub):  # a copy of a generated constructor
+        assert sub.__init__.__qualname__ == f"{sub.__qualname__}.__init__"
+        assert sub.__init__.__defaults__ == cls.__init__.__defaults__
     fields = CLASSES[cls][0]
     assert sub(*fields)._values() == cls(*fields)._values()
 
 
 def test_node_classes_share_their_base_constructor():
-    assert And.__init__ is Or.__init__ is Implies.__init__ is Iff.__init__
-    assert ForAll.__init__ is Exists.__init__
-    assert "__init__" not in vars(And) and "__init__" not in vars(ForAll)
+    # Each gets its own copy of the base's constructor, sharing its code.
+    binary = [And, Or, Implies, Iff, _Binary]
+    assert len({cls.__init__ for cls in binary}) == 5
+    assert len({cls.__init__.__code__ for cls in binary}) == 1
+    assert ForAll.__init__ is not Exists.__init__
+    assert ForAll.__init__.__code__ is Exists.__init__.__code__ is _Quantifier.__init__.__code__
+
+
+@pytest.mark.parametrize("cls, args, missing", [
+    (And, (P,), "right"),
+    (Or, (P,), "right"),
+    (Implies, (P,), "right"),
+    (Iff, (P,), "right"),
+    (ForAll, ("x",), "body"),
+    (Exists, ("x",), "body"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_a_binary_or_quantifier_arity_error_names_the_class_called(cls, args, missing):
+    message = f"{cls.__name__}.__init__() missing 1 required positional argument: '{missing}'"
+    with pytest.raises(TypeError) as info:
+        cls(*args)
+    assert str(info.value) == message
 
 
 def test_a_new_record_gets_a_constructor_with_defaults():
