@@ -1,7 +1,8 @@
 """Byte-for-byte pins of CLI output that no refactor may change.
 
-The files under ``golden/`` hold the exact stdout of ``exclusivity`` and
-``corpus --seed 0`` (JSON and text) and, for each of the seven canonical
+The files under ``golden/`` hold the exact stdout of ``exclusivity``,
+``corpus --seed 0`` and thirteen ``scenario`` runs covering every branch of
+each scenario (JSON and text) and, for each of the seven canonical
 witnesses, its judgment set, its induced model and the ``classify --format
 text`` output on them.  The sha256 prefixes guard the pinned files
 themselves against being regenerated from changed code.
@@ -17,11 +18,40 @@ from sapta.predication import PredicationTag, canonical_witness, judgments_to_js
 
 GOLDEN = Path(__file__).parent / "golden"
 
+NO_SLITS = ["--no-one-slit-observed", "--no-one-slit-unobserved", "--no-two-slits-unobserved"]
+
 PINNED = {
     "exclusivity.json": (["exclusivity"], "c5d007f598e67efa"),
     "exclusivity.txt": (["exclusivity", "--format", "text"], "96f59496a7bb11e7"),
     "corpus_seed0.json": (["corpus", "--seed", "0"], "84ca2775df2db185"),
     "corpus_seed0.txt": (["corpus", "--seed", "0", "--format", "text"], "436bd31e06c99674"),
+    # Every scenario's report: each branch of its expected class, JSON and text.
+    "scenario_double_slit.json": (["scenario", "double_slit"], "a5a7a1b188e8ce30"),
+    "scenario_double_slit.txt": (["scenario", "double_slit", "--format", "text"], "786ae3d225f7dd35"),
+    "scenario_double_slit_none.json": (["scenario", "double_slit", *NO_SLITS], "a01d36a6d73d11c1"),
+    "scenario_double_slit_none.txt": (["scenario", "double_slit", *NO_SLITS, "--format", "text"], "061cc7eaf7b71565"),
+    "scenario_cat_closed.json": (["scenario", "cat"], "db5ed4a053f6a6f4"),
+    "scenario_cat_closed.txt": (["scenario", "cat", "--format", "text"], "3ed7833ad8ed955f"),
+    "scenario_cat_open_seed0.json": (["scenario", "cat", "--open", "--seed", "0"], "1656905c3b931ff0"),
+    "scenario_cat_open_seed0.txt": (["scenario", "cat", "--open", "--seed", "0", "--format", "text"], "794b9c96bdc0767f"),
+    "scenario_cat_open_seed2.json": (["scenario", "cat", "--open", "--seed", "2"], "f7176907dbb74db9"),
+    "scenario_cat_open_seed2.txt": (["scenario", "cat", "--open", "--seed", "2", "--format", "text"], "a433b9690dc1f3b9"),
+    "scenario_wigner.json": (["scenario", "wigner"], "787411c786478ad6"),
+    "scenario_wigner.txt": (["scenario", "wigner", "--format", "text"], "d9ce9d4cce8d47f9"),
+    "scenario_wigner_friend_down.json": (["scenario", "wigner", "--perspective", "friend", "--friend-outcome", "down"], "147683e59d2bd057"),
+    "scenario_wigner_friend_down.txt": (["scenario", "wigner", "--perspective", "friend", "--friend-outcome", "down", "--format", "text"], "44ffbfeeb2b703b0"),
+    "scenario_wigner_outside.json": (["scenario", "wigner", "--perspective", "wigner"], "bcd3663f7f925a6e"),
+    "scenario_wigner_outside.txt": (["scenario", "wigner", "--perspective", "wigner", "--format", "text"], "4040c7e27f3b0bfe"),
+    "scenario_epr_zero_one.json": (["scenario", "epr", "--basis", "zero_one"], "e6735224cb9c8a05"),
+    "scenario_epr_zero_one.txt": (["scenario", "epr", "--basis", "zero_one", "--format", "text"], "6b54fdd9a5ed562f"),
+    "scenario_epr_plus_minus.json": (["scenario", "epr", "--basis", "plus_minus"], "c8293084dfa7033f"),
+    "scenario_epr_plus_minus.txt": (["scenario", "epr", "--basis", "plus_minus", "--format", "text"], "9437752b9906f3ab"),
+    "scenario_qcc.json": (["scenario", "qcc"], "48adfa09172f9a8e"),
+    "scenario_qcc.txt": (["scenario", "qcc", "--format", "text"], "72fb7f7c84512e9c"),
+    "scenario_threshold.json": (["scenario", "threshold"], "b1c4f488a806880c"),
+    "scenario_threshold.txt": (["scenario", "threshold", "--format", "text"], "cdadad6d6162f55e"),
+    "scenario_threshold_high.json": (["scenario", "threshold", "--levels", "0.9,0.95"], "9fd6601850f0a4be"),
+    "scenario_threshold_high.txt": (["scenario", "threshold", "--levels", "0.9,0.95", "--format", "text"], "6f8439b2b4243d01"),
 }
 
 WITNESSES = json.loads((GOLDEN / "canonical_witnesses.json").read_text(encoding="utf-8"))
