@@ -42,7 +42,14 @@ class DuplicateContext(SaptaError):
 
 
 class UndeclaredName(SaptaError):
-    """A context, predicate, or entity is not declared by the model."""
+    """A context, predicate, or entity is not declared by the model.
+
+    Carries the source span of the atom naming it, when a formula did.
+    """
+
+    def __init__(self, message, span=None):
+        super().__init__(message)
+        self.span = span
 
 
 class NotASchema(SaptaError):

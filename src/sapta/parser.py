@@ -301,8 +301,21 @@ def _parse_tokens(tokens: Tokens, contexts: frozenset[str], require_closed: bool
     if require_closed:
         fv = free_variables(f)
         if fv:
-            raise UnboundVariable(sorted(fv)[0])
+            var = sorted(fv)[0]
+            raise UnboundVariable(var, _free_atom(f, var).span)
     return f
+
+
+def _free_atom(f: Formula, var: str) -> Formula:
+    """The first atom, in textual order, at which `var` occurs free in `f`."""
+    stack = [f]
+    while True:
+        node = stack.pop()
+        if isinstance(node, (PredicateApp, ContextGuard)):
+            if node.var == var:
+                return node
+        elif getattr(node, "var", None) != var:  # not a quantifier binding `var`
+            stack.extend(v for v in reversed(node._values()) if isinstance(v, Formula))
 
 
 def parse(

@@ -15,9 +15,9 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable
 
-from .errors import ModelError, UndeclaredName
+from .errors import ModelError
 from .formulas import PREDICATIONS, Formula, Record, schema, undet_name
-from .semantics import ContextDef, Model, _array
+from .semantics import ContextDef, Model, _array, _declared, _object
 from .trivalent import Tv3
 
 __all__ = [
@@ -49,6 +49,7 @@ class Judgment(Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "Judgment":
+        _object(data, "a judgment")
         try:
             judgment = cls(data["context"], data["predicate"], Tv3.from_str(data["value"]))
         except (KeyError, TypeError, ValueError) as exc:
@@ -129,11 +130,9 @@ def classify(judgments: Iterable[Judgment], model: Model, predicate: str) -> Pre
     not" is licensed only across mutually incompatible conditions.
     """
     judgments = tuple(judgments)
-    if not model.is_predicate(predicate):
-        raise UndeclaredName(f"undeclared predicate {predicate!r}")
+    _declared(model._predicate_index, predicate, "predicate")
     for j in judgments:
-        if not model.is_context(j.context):
-            raise UndeclaredName(f"undeclared context {j.context!r}")
+        _declared(model._context_index, j.context, "context")
 
     relevant = [j for j in judgments if j.predicate == predicate]
     by_context: dict[str, Tv3] = {}
@@ -230,8 +229,7 @@ def entails(judgments: Iterable[Judgment], model: Model, query: Judgment) -> Ent
     inference across contexts — a T/F pair under incompatible contexts
     settles nothing about any other context or predicate.
     """
-    if not model.is_context(query.context):
-        raise UndeclaredName(f"undeclared context {query.context!r}")
+    _declared(model._context_index, query.context, "context")
     judgments = tuple(judgments)
     for j in judgments:
         if j == query:

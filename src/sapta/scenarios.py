@@ -1,13 +1,13 @@
 """Scenario generators: context-tagged judgments from toy physical models.
 
-Each generator builds a small state-vector computation, derives a judgment
-set over mutually incompatible observation contexts, and packages both with
-the model and the expected predication class into a ScenarioReport.  All
-randomness comes from numpy's seeded PCG64 generator
-(``numpy.random.default_rng``), so reports are reproducible bit-for-bit
-given the same parameters and seed.  The one draw an opened box needs is
-computed in pure Python (``_first_draw``); only a cat run with ``trials``
-imports numpy, for its bulk sample.
+Each generator builds a small state-vector computation and derives a
+judgment set over mutually incompatible observation contexts; ``_report``
+adds the induced model and the expected predication class.  All randomness
+comes from numpy's seeded PCG64 generator (``numpy.random.default_rng``),
+so reports are reproducible bit-for-bit given the same parameters and
+seed.  The one draw an opened box needs is computed in pure Python
+(``_first_draw``); only a cat run with ``trials`` imports numpy, for its
+bulk sample.
 """
 from __future__ import annotations
 
@@ -96,11 +96,27 @@ class ScenarioReport(Record):
         }
 
 
-def _expected(*pairs: tuple[Tv3, Sequence[str]]) -> PredicationClass:
-    """Expected class from (value, witness candidates) in T, F, U order."""
-    values = [v for v, _ in pairs]
-    witnesses = tuple(min(candidates) for _, candidates in pairs)
-    return PredicationClass(tag_for_values(values), witnesses)
+def _report(name: str, predicate: str, entity: str, judgments: Sequence[Judgment],
+            witness: dict[str, float | complex]) -> ScenarioReport:
+    """A scenario's report on its judgments about `predicate` of `entity`.
+
+    Each context is an arrangement of its own, incompatible with every
+    other, so the asserted values alone fix the expected class: the tag of
+    their set, with the lexicographically first context per value as
+    witness, in T, F, U order; no judgment at all is Degenerate.  The rule
+    is stated here apart from ``classify``, which the corpus checks
+    against it.
+    """
+    judgments = tuple(judgments)
+    values = [v for v in (Tv3.TRUE, Tv3.FALSE, Tv3.UNDET) if any(j.value is v for j in judgments)]
+    if values:
+        model = induced_model(judgments, predicate, entity)
+        contexts = tuple(min(j.context for j in judgments if j.value is v) for v in values)
+        expected = PredicationClass(tag_for_values(values), contexts)
+    else:
+        model = Model([entity], [], [predicate])
+        expected = PredicationClass(PredicationTag.DEGENERATE, ())
+    return ScenarioReport(name, model, judgments, expected, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +147,6 @@ def scenario_double_slit(
         for (name, value), flag in zip(_SLIT_CONTEXTS, included)
         if flag
     )
-    if judgments:
-        model = induced_model(judgments, "particle", "electron")
-        expected = _expected(*[(j.value, [j.context]) for j in judgments])
-    else:
-        model = Model(["electron"], [], ["particle"])
-        expected = PredicationClass(PredicationTag.DEGENERATE, ())
-
     # Two equal-amplitude paths: full fringe visibility while coherent,
     # none once which-path information exists.
     paths = StateVector([1 / _SQRT2, 1 / _SQRT2], ("slit1", "slit2"))
@@ -145,7 +154,7 @@ def scenario_double_slit(
         "visibility_two_slits_unobserved": fringe_visibility(paths, which_path_known=False),
         "visibility_which_path_recorded": fringe_visibility(paths, which_path_known=True),
     }
-    return ScenarioReport("double_slit", model, judgments, expected, witness)
+    return _report("double_slit", "particle", "electron", judgments, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +237,8 @@ def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> Sc
     p_alive = float(abs(cat.amplitude("alive")) ** 2)
     witness: dict[str, float | complex] = {"p_alive": p_alive}
 
-    closed_judgment = Judgment("box_closed", "alive", Tv3.UNDET)
-    if not open_box:
-        judgments = (closed_judgment,)
-        expected = _expected((Tv3.UNDET, ["box_closed"]))
-    else:
+    judgments = [Judgment("box_closed", "alive", Tv3.UNDET)]
+    if open_box:
         if trials is not None and trials < 0:
             raise ValueError(f"trials must be non-negative, got {trials}")
         if trials is not None and trials > MAX_TRIALS:
@@ -254,15 +260,8 @@ def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> Sc
                 left -= chunk
             witness["alive_frequency"] = count / trials
         witness["sampled_alive"] = 1.0 if alive else 0.0
-        open_judgment = Judgment("box_open", "alive", Tv3.from_bool(alive))
-        judgments = (open_judgment, closed_judgment)
-        if alive:
-            expected = _expected((Tv3.TRUE, ["box_open"]), (Tv3.UNDET, ["box_closed"]))
-        else:
-            expected = _expected((Tv3.FALSE, ["box_open"]), (Tv3.UNDET, ["box_closed"]))
-
-    model = induced_model(judgments, "alive", "cat")
-    return ScenarioReport("cat", model, judgments, expected, witness)
+        judgments.insert(0, Judgment("box_open", "alive", Tv3.from_bool(alive)))
+    return _report("cat", "alive", "cat", judgments, witness)
 
 
 def find_cat_seed(base_seed: int, want_alive: bool) -> int:
@@ -307,21 +306,10 @@ def scenario_wigner(perspective: str = "combined", friend_outcome: str = "up") -
         "pre_measurement_amp_up": complex(spin.amplitude("up")),
     }
 
-    friend_judgment = Judgment("friend_lab", "spin_up", Tv3.from_bool(up))
-    wigner_judgment = Judgment("outside_lab", "spin_up", Tv3.UNDET)
-    if perspective == "friend":
-        judgments = (friend_judgment,)
-        expected = _expected((friend_judgment.value, ["friend_lab"]))
-    elif perspective == "wigner":
-        judgments = (wigner_judgment,)
-        expected = _expected((Tv3.UNDET, ["outside_lab"]))
-    else:
-        judgments = (friend_judgment, wigner_judgment)
-        expected = _expected(
-            (friend_judgment.value, ["friend_lab"]), (Tv3.UNDET, ["outside_lab"])
-        )
-    model = induced_model(judgments, "spin_up", "spin_system")
-    return ScenarioReport("wigner", model, judgments, expected, witness)
+    friend = Judgment("friend_lab", "spin_up", Tv3.from_bool(up))
+    outside = Judgment("outside_lab", "spin_up", Tv3.UNDET)
+    judgments = {"friend": (friend,), "wigner": (outside,), "combined": (friend, outside)}[perspective]
+    return _report("wigner", "spin_up", "spin_system", judgments, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +353,13 @@ def scenario_epr(basis: str = "zero_one") -> ScenarioReport:
         Judgment("basis_zero_one", "b_in_state_b0", Tv3.TRUE),
         Judgment("basis_plus_minus", "b_in_state_b0", Tv3.UNDET),
     )
-    expected = _expected(
-        (Tv3.TRUE, ["basis_zero_one"]), (Tv3.UNDET, ["basis_plus_minus"])
-    )
-    model = induced_model(judgments, "b_in_state_b0", "pair")
     witness: dict[str, float | complex] = {
         "max_amplitude_difference": max_diff,
         "alice_outcome_probability": outcome_prob,
         "conditional_b_amp_0": conditional_b[0],
         "conditional_b_amp_1": conditional_b[1],
     }
-    return ScenarioReport("epr", model, judgments, expected, witness)
+    return _report("epr", "b_in_state_b0", "pair", judgments, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +410,7 @@ def scenario_qcc() -> ScenarioReport:
         Judgment("probe_arm_R", "photon_present", Tv3.FALSE),
         Judgment("no_probe", "photon_present", Tv3.UNDET),
     )
-    expected = _expected(
-        (Tv3.TRUE, ["probe_arm_L"]),
-        (Tv3.FALSE, ["probe_arm_R"]),
-        (Tv3.UNDET, ["no_probe"]),
-    )
-    model = induced_model(judgments, "photon_present", "photon")
-    return ScenarioReport("qcc", model, judgments, expected, witness)
+    return _report("qcc", "photon_present", "photon", judgments, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -489,29 +467,26 @@ def scenario_threshold(
         "count_between_cuts": float(sum(1 for l in levels if band(l) is Tv3.UNDET)),
         "count_above_upper_cut": float(sum(1 for l in levels if band(l) is Tv3.TRUE)),
     }
-    by_value: dict[Tv3, list[str]] = {}
-    for j in judgments:
-        by_value.setdefault(j.value, []).append(j.context)
-    expected = _expected(
-        *[(v, by_value[v]) for v in (Tv3.TRUE, Tv3.FALSE, Tv3.UNDET) if v in by_value]
-    )
-    model = induced_model(judgments, "perceived", "stimulus")
-    return ScenarioReport("threshold", model, judgments, expected, witness)
+    return _report("threshold", "perceived", "stimulus", judgments, witness)
 
 
 # ---------------------------------------------------------------------------
 # Corpus.
 
-CORPUS_ORDER = (
-    "double_slit",
-    "cat_closed",
-    "cat_open_alive",
-    "cat_open_dead",
-    "wigner",
-    "epr",
-    "qcc",
-    "threshold",
+# The corpus, in output order: each entry's name and its report for a base
+# seed.  The open-box entries pin their branch by searching forward from the
+# base seed for one whose honest sample lands on that branch.
+_CORPUS: tuple[tuple[str, Callable[[int], ScenarioReport]], ...] = (
+    ("double_slit", lambda seed: scenario_double_slit()),
+    ("cat_closed", lambda seed: scenario_cat(False, seed)),
+    ("cat_open_alive", lambda seed: scenario_cat(True, find_cat_seed(seed, want_alive=True))),
+    ("cat_open_dead", lambda seed: scenario_cat(True, find_cat_seed(seed, want_alive=False))),
+    ("wigner", lambda seed: scenario_wigner()),
+    ("epr", lambda seed: scenario_epr()),
+    ("qcc", lambda seed: scenario_qcc()),
+    ("threshold", lambda seed: scenario_threshold()),
 )
+CORPUS_ORDER = tuple(name for name, _ in _CORPUS)
 
 
 class CorpusResult(Record):
@@ -530,21 +505,6 @@ class CorpusResult(Record):
         }
 
 
-def _corpus_builders(seed: int) -> list[tuple[str, Callable[[], ScenarioReport]]]:
-    # The open-box entries pin their branch by searching forward from the
-    # base seed for one whose honest sample lands on that branch.
-    return [
-        ("double_slit", scenario_double_slit),
-        ("cat_closed", lambda: scenario_cat(False, seed)),
-        ("cat_open_alive", lambda: scenario_cat(True, find_cat_seed(seed, want_alive=True))),
-        ("cat_open_dead", lambda: scenario_cat(True, find_cat_seed(seed, want_alive=False))),
-        ("wigner", scenario_wigner),
-        ("epr", scenario_epr),
-        ("qcc", scenario_qcc),
-        ("threshold", scenario_threshold),
-    ]
-
-
 def run_corpus(seed: int = 0) -> list[CorpusResult]:
     """Generate every built-in scenario and classify its judgments.
 
@@ -552,8 +512,8 @@ def run_corpus(seed: int = 0) -> list[CorpusResult]:
     compares the classifier's verdict against the scenario's expectation.
     """
     results = []
-    for name, build in _corpus_builders(seed):
-        report = build()
+    for name, build in _CORPUS:
+        report = build(seed)
         predicate = report.judgments[0].predicate
         classified = classify(report.judgments, report.model, predicate)
         results.append(CorpusResult(name, report, classified))

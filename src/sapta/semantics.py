@@ -66,6 +66,15 @@ def _index_of(index: dict, name) -> int | None:
         return None
 
 
+def _declared(index: dict, name, kind: str, at: Formula | None = None) -> int:
+    """Position of a declared `kind` name; raises UndeclaredName, located at
+    the atom `at` if one is given, for an undeclared or unhashable one."""
+    i = _index_of(index, name)
+    if i is None:
+        raise UndeclaredName(f"undeclared {kind} {name!r}", None if at is None else at.span)
+    return i
+
+
 class Model:
     """Immutable finite structure formulas are evaluated against.
 
@@ -189,31 +198,21 @@ class Model:
         return name in self._predicate_index
 
     def extension(self, context: str) -> frozenset[str]:
-        try:
-            return self.contexts[context].extension
-        except KeyError:
-            raise UndeclaredName(f"undeclared context {context!r}") from None
+        _declared(self._context_index, context, "context")
+        return self.contexts[context].extension
 
     def value(self, context: str, entity: str, predicate: str) -> Tv3:
-        if context not in self.contexts:
-            raise UndeclaredName(f"undeclared context {context!r}")
-        ei = self._entity_index.get(entity)
-        if ei is None:
-            raise UndeclaredName(f"undeclared entity {entity!r}")
-        if predicate not in self._predicate_index:
-            raise UndeclaredName(f"undeclared predicate {predicate!r}")
-        column = self._column(self._context_index[context], self._predicate_index[predicate])
-        return _CHAIN[self._cells[column + ei]]
+        ci = _declared(self._context_index, context, "context")
+        ei = _declared(self._entity_index, entity, "entity")
+        pi = _declared(self._predicate_index, predicate, "predicate")
+        return _CHAIN[self._cells[self._column(ci, pi) + ei]]
 
     def incompatible(self, c1: str, c2: str) -> bool:
         """Whether the unordered context pair is marked mutually incompatible.
 
         Every context is compatible with itself.
         """
-        for c in (c1, c2):
-            if c not in self.contexts:
-                raise UndeclaredName(f"undeclared context {c!r}")
-        i, j = sorted((self._context_index[c1], self._context_index[c2]))
+        i, j = sorted(_declared(self._context_index, c, "context") for c in (c1, c2))
         return i != j and i * len(self.contexts) + j in self._incompatible
 
     # -- serialization --------------------------------------------------------
@@ -228,11 +227,12 @@ class Model:
         list must be a JSON array of strings, and every incompatible entry an
         array of two context names.
         """
+        _object(data, "a model")
         try:
             domain = _names(data["domain"], "'domain'")
             ctx_objs = []
             for c in _array(data["contexts"], "'contexts'"):
-                name = _name(c["name"], "a context name")
+                name = _name(_object(c, "every entry of 'contexts'")["name"], "a context name")
                 extension = _names(c.get("extension", []), f"the extension of {name!r}")
                 ctx_objs.append(ContextDef(name, extension))
             predicates = _names(data["predicates"], "'predicates'")
@@ -305,6 +305,12 @@ class Model:
 def _array(value, what: str) -> list:
     if not isinstance(value, list):
         raise ModelError(f"{what} must be an array, got {type(value).__name__}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ModelError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
 
 
@@ -460,25 +466,21 @@ class _Compiler:
         if slot is None:
             if f.var not in self.env:
                 raise UnboundVariable(f.var, getattr(f, "span", None))
-            entity = self.env[f.var]
-            ei = _index_of(m._entity_index, entity)
-            if ei is None:
-                raise UndeclaredName(f"undeclared entity {entity!r}")
-        ci = m._context_index.get(name)
+            ei = _declared(m._entity_index, self.env[f.var], "entity", f)
+        ci = _index_of(m._context_index, name)
         if ci is not None:
             extension = m._extensions[ci]
             if slot is None:
                 return _const(2 if ei in extension else 0)
             return lambda env: 2 if env[slot] in extension else 0
-        if isinstance(f, ContextGuard):
-            raise UndeclaredName(f"undeclared context {name!r}")
-        pi = m._predicate_index.get(name)
-        if pi is None:
-            raise UndeclaredName(f"undeclared predicate {name!r}")
+        if isinstance(f, ContextGuard):  # a guard naming no context: raises
+            _declared(m._context_index, name, "context", f)
+        pi = _declared(m._predicate_index, name, "predicate", f)
         column = ctx or m.background
         if column is None:
             raise UndeclaredName(
-                f"predicate {name!r} used outside any guard and the model declares no background context"
+                f"predicate {name!r} used outside any guard and the model declares no background context",
+                f.span,
             )
         cells, base = m._cells, m._column(m._context_index[column], pi)
         if slot is None:
@@ -503,8 +505,7 @@ def check_incompatibility(
     ``"forall"`` every entity must distinguish them.
     """
     for c in (c1, c2):
-        if not model.is_context(c):
-            raise UndeclaredName(f"undeclared context {c!r}")
+        _declared(model._context_index, c, "context")
     if mode == "relational":
         return Tv3.from_bool(model.incompatible(c1, c2))
     if mode != "extensional":

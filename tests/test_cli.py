@@ -150,6 +150,26 @@ def test_parse_reports_span_in_json(capsys, tmp_path):
     assert "1:4" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("text, kind, message, span", [
+    ("forall x. alive(x)\n# the last line is open\nlet bad = forall x. alive(y)\n",
+     "UnboundVariable", "unbound variable 'y'", {"start": 63, "end": 71, "line": 3, "column": 21}),
+    ("forall x. alive(x)\nforall x. q(x)\n",
+     "UndeclaredName", "undeclared predicate 'q'", {"start": 29, "end": 33, "line": 2, "column": 11}),
+])
+def test_eval_error_names_the_atom_at_fault(capsys, tmp_path, cat_files, fmt, text, kind, message, span):
+    model, _ = cat_files
+    src = tmp_path / "f.lgc"
+    src.write_text(text)
+    code, out, err = run_cli(capsys, "eval", str(src), "--model", str(model), "--format", fmt)
+    assert code == EX_ERROR
+    assert err == f"{span['line']}:{span['column']}: error: {message}\n"
+    if fmt == "json":
+        assert json.loads(out)["error"] == {"kind": kind, "message": message, "span": span}
+    else:
+        assert out == ""
+
+
 def test_parse_dumps_ast(capsys, tmp_path):
     src = tmp_path / "f.lgc"
     src.write_text("let s1 = forall x. (c(x) -> p(x))\n")

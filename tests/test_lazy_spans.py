@@ -21,6 +21,7 @@ from sapta.formulas import (
     SourceSpan,
     pretty,
 )
+from sapta.cli import main
 from sapta.parser import parse, parse_formula_file, tokenize
 
 _CHILDREN = ("operand", "left", "right", "body")
@@ -197,6 +198,31 @@ def test_span_pass_runs_once_per_fragment(monkeypatch):
     for entry in entries:
         assert all(node.span is not None for node in _nodes(entry.formula))
     assert len(calls) == len(entries) == 2
+
+
+def test_spans_are_built_for_errors_only(monkeypatch, tmp_path):
+    calls = []
+    spans_of = parser._token_list
+
+    def counted(*args):
+        calls.append(args[0])
+        return spans_of(*args)
+
+    monkeypatch.setattr(parser, "_token_list", counted)
+    model = tmp_path / "m.json"
+    model.write_text(
+        '{"domain": ["a"], "background": "c", "contexts": [{"name": "c", "extension": ["a"]}],'
+        ' "predicates": ["p"]}'
+    )
+    good, open_, undeclared = (tmp_path / name for name in ("good", "open", "undeclared"))
+    good.write_text("forall x. (c(x) -> p(x))\nlet e = exists y. ~p(y)\n")
+    open_.write_text("forall x. p(x)\nforall x. p(y)\n")
+    undeclared.write_text("forall x. p(x)\nforall x. q(x)\n")
+    assert main(["eval", str(good), "--model", str(model)]) == 0
+    assert calls == []
+    for path in (open_, undeclared):
+        assert main(["eval", str(path), "--model", str(model), "--format", "text"]) == 1
+    assert calls == ["forall x. p(y)", "forall x. q(x)"]
 
 
 def test_tokenize_hook_sees_every_formula_line(monkeypatch):

@@ -116,6 +116,8 @@ def _row(**changes):
 
 # (array, bad entry, the message it raises)
 FAULTS = [
+    ("contexts", "c3", "every entry of 'contexts' must be a JSON object, got str"),
+    ("contexts", ["c3"], "every entry of 'contexts' must be a JSON object, got list"),
     ("incompatible", "c0c1", "incompatible entry must be a pair of context names, got 'c0c1'"),
     ("incompatible", {"c0": 1, "c1": 2},
      "incompatible entry must be a pair of context names, got {'c0': 1, 'c1': 2}"),
@@ -157,6 +159,13 @@ def test_single_fault_message(field, bad, message, at_end):
     with pytest.raises(ModelError) as info:
         Model.from_json(data)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("data", [[], "model", None])
+def test_model_that_is_not_an_object(data):
+    with pytest.raises(ModelError) as info:
+        Model.from_json(data)
+    assert str(info.value) == f"a model must be a JSON object, got {type(data).__name__}"
 
 
 def test_two_letter_string_is_not_a_pair_of_one_letter_contexts():

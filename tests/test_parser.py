@@ -18,6 +18,7 @@ from sapta.formulas import (
     Not,
     Or,
     PredicateApp,
+    SourceSpan,
     pretty,
 )
 from sapta.parser import MAX_DEPTH, parse, parse_formula_file, tokenize
@@ -145,6 +146,20 @@ def test_require_closed():
     with pytest.raises(UnboundVariable):
         parse("p(x)", require_closed=True)
     parse("forall x. p(x)", require_closed=True)
+
+
+@pytest.mark.parametrize("text, var, column", [
+    ("p(x)", "x", 1),
+    ("(forall y. p(y)) & q(y) & r(y)", "y", 20),
+    ("exists x. (p(x) -> forall z. q(z) | r(z) | s(a) | t(x))", "a", 44),
+    ("q(z) & p(b)", "b", 8),  # the first variable in sorted order
+])
+def test_unbound_variable_names_its_first_free_atom(text, var, column):
+    with pytest.raises(UnboundVariable) as info:
+        parse(text, require_closed=True)
+    assert info.value.var == var
+    assert str(info.value) == f"unbound variable {var!r}"
+    assert info.value.span == SourceSpan(column - 1, column + 3, 1, column)
 
 
 def test_pretty_canonical_guarded_conditional():

@@ -283,6 +283,16 @@ def test_entails_undeclared_query_context():
         entails([J("c1", T)], m, Judgment("zz", "p", T))
 
 
+def test_unhashable_names_are_undeclared():
+    m = incompat_model("c1")
+    with pytest.raises(UndeclaredName, match=r"undeclared predicate \['p'\]"):
+        classify([J("c1", T)], m, ["p"])
+    with pytest.raises(UndeclaredName, match=r"undeclared context \['c1'\]"):
+        classify([J(["c1"], T)], m, "p")
+    with pytest.raises(UndeclaredName, match=r"undeclared context \['c1'\]"):
+        entails([J("c1", T)], m, Judgment(["c1"], "p", T))
+
+
 def test_entails_random_explosion_property():
     rng = random.Random(99)
     m = Model(
@@ -353,6 +363,13 @@ def test_judgment_json_malformed():
         judgments_from_json([{"context": "c1", "value": "T"}])
     with pytest.raises(ModelError):
         judgments_from_json([{"context": "c1", "predicate": "p", "value": "X"}])
+
+
+@pytest.mark.parametrize("row, kind", [("c1", "str"), (["c1", "p", "T"], "list"), (None, "NoneType")])
+def test_judgment_that_is_not_an_object(row, kind):
+    with pytest.raises(ModelError) as info:
+        judgments_from_json([row])
+    assert str(info.value) == f"a judgment must be a JSON object, got {kind}"
 
 
 def test_classify_is_not_quadratic_in_equal_valued_contexts():

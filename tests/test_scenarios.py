@@ -405,6 +405,19 @@ def test_corpus_order_and_matches():
         assert r.match, (r.name, r.classified, r.report.expected_class)
 
 
+def test_expected_classes_are_not_read_off_classify(monkeypatch):
+    # The corpus checks classify against each scenario's expected class, so
+    # building a report must not consult classify.
+    def refuse(*args):
+        raise AssertionError("classify called while building a report")
+
+    monkeypatch.setattr(scenarios, "classify", refuse)
+    monkeypatch.setattr("sapta.predication.classify", refuse)
+    assert [build(0).expected_class.tag.value for _, build in scenarios._CORPUS] == [
+        "P7", "P3", "P5", "P6", "P5", "P5", "P7", "P7",
+    ]
+
+
 def test_corpus_pinned_classes():
     by_name = {r.name: r for r in run_corpus(0)}
     expected = {

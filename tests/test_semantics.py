@@ -64,10 +64,44 @@ def test_model_rejects_duplicates_and_strays():
     (("zz", "a", "p"), "undeclared context 'zz'"),
     (("c1", "zz", "p"), "undeclared entity 'zz'"),
     (("c1", "a", "zz"), "undeclared predicate 'zz'"),
+    ((["c1"], "a", "p"), r"undeclared context \['c1'\]"),
+    (("c1", ["a"], "p"), r"undeclared entity \['a'\]"),
+    (("c1", "a", ["p"]), r"undeclared predicate \['p'\]"),
 ])
 def test_value_rejects_undeclared_names(args, message):
     with pytest.raises(UndeclaredName, match=message):
         simple_model().value(*args)
+
+
+def test_unhashable_names_are_undeclared():
+    m = simple_model()
+    with pytest.raises(UndeclaredName, match=r"undeclared context \['c1'\]"):
+        m.extension(["c1"])
+    with pytest.raises(UndeclaredName, match=r"undeclared context \['c2'\]"):
+        m.incompatible("c1", ["c2"])
+    with pytest.raises(UndeclaredName, match=r"undeclared context \['c2'\]"):
+        check_incompatibility(m, "c1", ["c2"], "extensional")
+    with pytest.raises(UndeclaredName, match=r"undeclared entity \['a'\]"):
+        evaluate(PredicateApp("p", "x"), m, {"x": ["a"]})
+
+
+def test_undeclared_atoms_carry_their_span():
+    m = simple_model()
+    for text, message in [
+        ("p(x) & nope(x)", "undeclared predicate 'nope'"),
+        ("p(x) & zz(x)", "undeclared context 'zz'"),
+    ]:
+        f = parse(text, contexts={"zz"})
+        with pytest.raises(UndeclaredName, match=message) as info:
+            evaluate(f, m, {"x": "a"})
+        assert info.value.span == f.right.span
+    with pytest.raises(UndeclaredName, match="undeclared entity 'zz'") as info:
+        evaluate(parse("q(y) | p(x)"), m, {"x": "zz", "y": "a"})
+    assert info.value.span.column == 8
+    # A node built without a span raises without one.
+    with pytest.raises(UndeclaredName) as info:
+        evaluate(PredicateApp("nope", "x"), m, {"x": "a"})
+    assert info.value.span is None
 
 
 def test_extension_lookup():
