@@ -1,11 +1,15 @@
 """Byte-for-byte pins of CLI output that no refactor may change.
 
 The files under ``golden/`` hold the exact stdout of ``exclusivity``,
-``corpus --seed 0`` and thirteen ``scenario`` runs covering every branch of
-each scenario (JSON and text) and, for each of the seven canonical
-witnesses, its judgment set, its induced model and the ``classify --format
-text`` output on them.  The sha256 prefixes guard the pinned files
-themselves against being regenerated from changed code.
+``corpus --seed 0``, thirteen ``scenario`` runs covering every branch of
+each scenario, ``parse`` of a formula file using every node class the
+parser builds, and ``eval`` of a closed formula file under both
+``--incompat`` readings (all JSON and text); and, for each of the seven
+canonical witnesses, its judgment set, its induced model and the
+``classify --format text`` output on them.  The pinned commands run in
+``golden/`` and name their inputs by relative path, since ``parse`` and
+``eval`` print each path as given.  The sha256 prefixes guard the pinned
+files themselves against being regenerated from changed code.
 """
 import hashlib
 import json
@@ -14,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from sapta.cli import EX_OK, main
+from sapta.formulas import ast_to_dict, schema
 from sapta.predication import PredicationTag, canonical_witness, judgments_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -52,6 +57,13 @@ PINNED = {
     "scenario_threshold.txt": (["scenario", "threshold", "--format", "text"], "cdadad6d6162f55e"),
     "scenario_threshold_high.json": (["scenario", "threshold", "--levels", "0.9,0.95"], "9fd6601850f0a4be"),
     "scenario_threshold_high.txt": (["scenario", "threshold", "--levels", "0.9,0.95", "--format", "text"], "6f8439b2b4243d01"),
+    # Every node class, let names, comments, Unicode operators, deep nesting.
+    "parse_formulas.json": (["parse", "formulas.lgc"], "56459270bf2dba18"),
+    "parse_formulas.txt": (["parse", "formulas.lgc", "--format", "text"], "c7b6479257d30bd7"),
+    "eval_relational.json": (["eval", "closed.lgc", "--model", "model.json"], "816d37313ab35db8"),
+    "eval_relational.txt": (["eval", "closed.lgc", "--model", "model.json", "--format", "text"], "45e4b17224f3e823"),
+    "eval_extensional.json": (["eval", "closed.lgc", "--model", "model.json", "--incompat", "extensional"], "ae8012b2d2d36def"),
+    "eval_extensional.txt": (["eval", "closed.lgc", "--model", "model.json", "--incompat", "extensional", "--format", "text"], "b8d2b770b54b12f6"),
 }
 
 WITNESSES = json.loads((GOLDEN / "canonical_witnesses.json").read_text(encoding="utf-8"))
@@ -63,11 +75,41 @@ def stdout_bytes(capsys, argv) -> bytes:
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_output_is_byte_identical_to_pin(capsys, name):
+def test_output_is_byte_identical_to_pin(capsys, monkeypatch, name):
     argv, digest = PINNED[name]
+    monkeypatch.chdir(GOLDEN)
     pinned = (GOLDEN / name).read_bytes()
     assert hashlib.sha256(pinned).hexdigest()[:16] == digest
     assert stdout_bytes(capsys, argv) == pinned
+
+
+def _guard(context):
+    return {"node": "ContextGuard", "context": context, "var": "x"}
+
+
+P = {"node": "PredicateApp", "name": "p", "var": "x"}
+
+
+def test_schema_dump_is_pinned():
+    # The CLI parses no ContextGuard; a schema carries them.  Comparing the
+    # JSON text pins the key order too.
+    pinned = {
+        "node": "ForAll",
+        "var": "x",
+        "body": {
+            "node": "And",
+            "left": {
+                "node": "And",
+                "left": {"node": "Implies", "left": _guard("c1"), "right": P},
+                "right": {"node": "Implies", "left": _guard("c2"), "right": {"node": "Not", "operand": P}},
+            },
+            "right": {
+                "node": "Not",
+                "operand": {"node": "Iff", "left": _guard("c1"), "right": _guard("c2")},
+            },
+        },
+    }
+    assert json.dumps(ast_to_dict(schema(4, ["c1", "c2"], "p"))) == json.dumps(pinned)
 
 
 def test_pins_cover_the_seven_witnesses():
