@@ -247,38 +247,40 @@ def atom_name(f: Formula) -> str | None:
 
 def free_variables(f: Formula) -> frozenset[str]:
     """Variables occurring outside the scope of any quantifier binding them."""
+    return frozenset(_free_atoms(f))
 
-    def walk(g: Formula, bound: frozenset[str]) -> frozenset[str]:
-        if isinstance(g, _Atom):
-            return frozenset() if g.var in bound else frozenset({g.var})
-        if isinstance(g, Not):
-            return walk(g.operand, bound)
-        if isinstance(g, _Binary):
-            return walk(g.left, bound) | walk(g.right, bound)
-        if isinstance(g, _Quantifier):
-            return walk(g.body, bound | {g.var})
-        raise TypeError(f"not a formula node: {g!r}")
 
-    return walk(f, frozenset())
+def _free_atoms(f: Formula) -> dict[str, _Atom]:
+    """Each free variable of `f`, mapped to its first free atom in textual order."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula node: {f!r}")
+    free: dict[str, _Atom] = {}
+    stack = [(f, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, _Quantifier):
+            bound = bound | {node.var}
+        elif isinstance(node, _Atom) and node.var not in bound:
+            free.setdefault(node.var, node)
+        stack.extend((v, bound) for v in reversed(node._values()) if isinstance(v, Formula))
+    return free
 
 
 def ast_to_dict(f: Formula) -> dict:
-    """JSON-friendly structural dump (spans omitted)."""
-    if isinstance(f, PredicateApp):
-        return {"node": "PredicateApp", "name": f.name, "var": f.var}
-    if isinstance(f, ContextGuard):
-        return {"node": "ContextGuard", "context": f.context, "var": f.var}
-    if isinstance(f, Not):
-        return {"node": "Not", "operand": ast_to_dict(f.operand)}
-    if isinstance(f, _Binary):
-        return {
-            "node": type(f).__name__,
-            "left": ast_to_dict(f.left),
-            "right": ast_to_dict(f.right),
-        }
-    if isinstance(f, _Quantifier):
-        return {"node": type(f).__name__, "var": f.var, "body": ast_to_dict(f.body)}
-    raise TypeError(f"not a formula node: {f!r}")
+    """JSON-friendly structural dump (spans omitted): the class name under
+    ``"node"``, then the node's ``_fields`` in order, subformulas dumped."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula node: {f!r}")
+    return _dump(f)
+
+
+def _dump(f: Formula, Formula=Formula, getattr=getattr) -> dict:
+    # Globals bound as locals: `sapta parse` dumps every node it parses.
+    out = {"node": type(f).__name__}
+    for name in f._fields:
+        value = getattr(f, name)
+        out[name] = _dump(value) if isinstance(value, Formula) else value
+    return out
 
 
 # ---------------------------------------------------------------------------

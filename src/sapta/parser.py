@@ -31,7 +31,7 @@ from .formulas import (
     PredicateApp,
     Record,
     SourceSpan,
-    free_variables,
+    _free_atoms,
 )
 
 __all__ = ["parse", "parse_formula_file", "NamedFormula", "tokenize", "Tokens", "Token"]
@@ -299,23 +299,11 @@ def _parse_tokens(tokens: Tokens, contexts: frozenset[str], require_closed: bool
     if parser.operators >= MAX_DEPTH:  # fewer cannot build a deeper tree
         _check_height(f)
     if require_closed:
-        fv = free_variables(f)
-        if fv:
-            var = sorted(fv)[0]
-            raise UnboundVariable(var, _free_atom(f, var).span)
+        free = _free_atoms(f)
+        if free:
+            var = min(free)
+            raise UnboundVariable(var, free[var].span)
     return f
-
-
-def _free_atom(f: Formula, var: str) -> Formula:
-    """The first atom, in textual order, at which `var` occurs free in `f`."""
-    stack = [f]
-    while True:
-        node = stack.pop()
-        if isinstance(node, (PredicateApp, ContextGuard)):
-            if node.var == var:
-                return node
-        elif getattr(node, "var", None) != var:  # not a quantifier binding `var`
-            stack.extend(v for v in reversed(node._values()) if isinstance(v, Formula))
 
 
 def parse(

@@ -24,6 +24,7 @@ from .formulas import (
     Or,
     PredicateApp,
     Record,
+    _INCOMPAT_PAIRS,
     atom_name,
     free_variables,
 )
@@ -194,9 +195,6 @@ class Model:
     def is_context(self, name: str) -> bool:
         return name in self.contexts
 
-    def is_predicate(self, name: str) -> bool:
-        return name in self._predicate_index
-
     def extension(self, context: str) -> frozenset[str]:
         _declared(self._context_index, context, "context")
         return self.contexts[context].extension
@@ -227,17 +225,14 @@ class Model:
         list must be a JSON array of strings, and every incompatible entry an
         array of two context names.
         """
-        _object(data, "a model")
-        try:
-            domain = _names(data["domain"], "'domain'")
-            ctx_objs = []
-            for c in _array(data["contexts"], "'contexts'"):
-                name = _name(_object(c, "every entry of 'contexts'")["name"], "a context name")
-                extension = _names(c.get("extension", []), f"the extension of {name!r}")
-                ctx_objs.append(ContextDef(name, extension))
-            predicates = _names(data["predicates"], "'predicates'")
-        except (KeyError, TypeError) as exc:
-            raise ModelError(f"malformed model object: {exc}") from None
+        _object(data, "a model", "domain", "contexts", "predicates")
+        domain = _names(data["domain"], "'domain'")
+        ctx_objs = []
+        for c in _array(data["contexts"], "'contexts'"):
+            name = _name(_object(c, "every entry of 'contexts'", "name")["name"], "a context name")
+            extension = _names(c.get("extension", []), f"the extension of {name!r}")
+            ctx_objs.append(ContextDef(name, extension))
+        predicates = _names(data["predicates"], "'predicates'")
         rows = _array(data.get("valuation", []), "'valuation'")
         incompatible = _array(data.get("incompatible", []), "'incompatible'")
         background = data.get("background")
@@ -308,9 +303,12 @@ def _array(value, what: str) -> list:
     return value
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, *keys: str) -> dict:
     if not isinstance(value, dict):
         raise ModelError(f"{what} must be a JSON object, got {type(value).__name__}")
+    for key in keys:
+        if key not in value:
+            raise ModelError(f"{what} must have a {key!r} key")
     return value
 
 
@@ -569,11 +567,7 @@ def guard_of(f: Formula) -> list[tuple[str, Formula]]:
         raise NotASchema(f"schemas carry 1..3 guarded implications, found {len(guards)}")
     if len(set(guards)) != len(guards):
         raise NotASchema("guard contexts must be distinct")
-    wanted = {
-        frozenset({guards[i], guards[j]})
-        for i in range(len(guards))
-        for j in range(i + 1, len(guards))
-    }
+    wanted = {frozenset({guards[i], guards[j]}) for i, j in _INCOMPAT_PAIRS[len(guards)]}
     if len(clauses) != len(wanted) or set(clauses) != wanted:
         raise NotASchema("pairwise incompatibility clauses do not match the guards")
     return impls

@@ -255,12 +255,43 @@ def test_corpus_is_deterministic(capsys):
     assert len(data["results"]) == 8
 
 
-def test_corpus_byte_identical_across_processes():
-    cmd = [sys.executable, "-m", "sapta.cli", "corpus", "--seed", "42"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
-    assert first.stdout == second.stdout
-    assert first.stdout.strip()
+GOLDEN = Path(__file__).parent / "golden"
+
+# argv and exit code of each child; inputs are written to its working directory.
+HASH_SEED_RUNS = {
+    "parse": (["parse", "formulas.lgc"], EX_OK),
+    "eval": (["eval", "closed.lgc", "--model", "model.json"], EX_OK),
+    "corpus": (["corpus", "--seed", "42"], EX_OK),
+    "classify_p7": (["classify", "p7.json", "--model", "p7_model.json"], EX_OK),
+    "classify_inconsistent": (["classify", "inconsistent.json", "--model", "model.json"], EX_OK),
+    "malformed_formula": (["parse", "malformed.lgc"], EX_ERROR),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HASH_SEED_RUNS))
+def test_output_byte_identical_across_hash_seeds(tmp_path, name):
+    argv, exit_code = HASH_SEED_RUNS[name]
+    for input_name in ("formulas.lgc", "closed.lgc", "model.json"):
+        (tmp_path / input_name).write_bytes((GOLDEN / input_name).read_bytes())
+    p7 = json.loads((GOLDEN / "canonical_witnesses.json").read_text(encoding="utf-8"))["P7"]
+    (tmp_path / "p7.json").write_text(json.dumps(p7["judgments"]))
+    (tmp_path / "p7_model.json").write_text(json.dumps(p7["model"]))
+    # c1 and c2 are not declared incompatible in model.json.
+    (tmp_path / "inconsistent.json").write_text(json.dumps([
+        {"context": "c1", "predicate": "p", "value": "T"},
+        {"context": "c2", "predicate": "p", "value": "F"},
+    ]))
+    (tmp_path / "malformed.lgc").write_text("p(x\n")
+    runs = set()
+    for seed in ("0", "1", "12345"):
+        run = subprocess.run([sys.executable, "-m", "sapta.cli", *argv], cwd=tmp_path,
+                             capture_output=True, env=dict(_child_env(), PYTHONHASHSEED=seed))
+        runs.add((run.returncode, run.stdout, run.stderr))
+    assert len(runs) == 1
+    [(code, out, _)] = runs
+    assert code == exit_code
+    data = json.loads(out)
+    assert ("error" in data) == (code == EX_ERROR)
 
 
 def test_corpus_mismatch_exits_2(capsys, monkeypatch):
@@ -676,6 +707,18 @@ def test_eval_rejects_wrongly_typed_model_fields(capsys, tmp_path, field, bad):
     code, out, _ = run_cli(capsys, "eval", str(formulas), "--model", str(model))
     assert code == EX_ERROR
     assert json.loads(out)["error"]["kind"] == "ModelError"
+
+
+def test_eval_names_a_missing_model_key(capsys, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({k: v for k, v in CAT_MODEL.items() if k != "domain"}))
+    formulas = tmp_path / "f.lgc"
+    formulas.write_text("forall x. (box_open(x) -> alive(x))\n")
+    code, out, _ = run_cli(capsys, "eval", str(formulas), "--model", str(model))
+    assert code == EX_ERROR
+    error = json.loads(out)["error"]
+    assert error["kind"] == "ModelError"
+    assert error["message"] == "a model must have a 'domain' key"
 
 
 @pytest.mark.parametrize("text", ["~" * 5000 + "p(x)", "(" * 3000 + "p(x)" + ")" * 3000])

@@ -118,6 +118,8 @@ def _row(**changes):
 FAULTS = [
     ("contexts", "c3", "every entry of 'contexts' must be a JSON object, got str"),
     ("contexts", ["c3"], "every entry of 'contexts' must be a JSON object, got list"),
+    ("contexts", {}, "every entry of 'contexts' must have a 'name' key"),
+    ("contexts", {"extension": ["e0"]}, "every entry of 'contexts' must have a 'name' key"),
     ("incompatible", "c0c1", "incompatible entry must be a pair of context names, got 'c0c1'"),
     ("incompatible", {"c0": 1, "c1": 2},
      "incompatible entry must be a pair of context names, got {'c0': 1, 'c1': 2}"),
@@ -166,6 +168,15 @@ def test_model_that_is_not_an_object(data):
     with pytest.raises(ModelError) as info:
         Model.from_json(data)
     assert str(info.value) == f"a model must be a JSON object, got {type(data).__name__}"
+
+
+@pytest.mark.parametrize("key", ["domain", "contexts", "predicates"])
+def test_missing_model_key_is_named(key):
+    data = copy.deepcopy(BASE)
+    del data[key]
+    with pytest.raises(ModelError) as info:
+        Model.from_json(data)
+    assert str(info.value) == f"a model must have a {key!r} key"
 
 
 def test_two_letter_string_is_not_a_pair_of_one_letter_contexts():

@@ -19,6 +19,8 @@ from sapta.formulas import (
     Or,
     PredicateApp,
     SourceSpan,
+    ast_to_dict,
+    free_variables,
     pretty,
 )
 from sapta.parser import MAX_DEPTH, parse, parse_formula_file, tokenize
@@ -213,6 +215,41 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_roundtrip_hypothesis(f):
     assert parse(pretty(f)) == f
+
+
+def _free_atoms_oracle(f, bound=frozenset()):
+    """The atoms at which a variable occurs free, in textual order, by
+    recursion on the node classes."""
+    if isinstance(f, PredicateApp):
+        return [] if f.var in bound else [f]
+    if isinstance(f, Not):
+        return _free_atoms_oracle(f.operand, bound)
+    if isinstance(f, (ForAll, Exists)):
+        return _free_atoms_oracle(f.body, bound | {f.var})
+    return _free_atoms_oracle(f.left, bound) + _free_atoms_oracle(f.right, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas)
+def test_free_variables_and_unbound_span_match_an_oracle(f):
+    text = pretty(f)
+    atoms = _free_atoms_oracle(parse(text))
+    free = {atom.var for atom in atoms}
+    assert free_variables(f) == free
+    if free:
+        var = min(free)
+        with pytest.raises(UnboundVariable) as info:
+            parse(text, require_closed=True)
+        assert info.value.var == var
+        assert info.value.span == next(atom for atom in atoms if atom.var == var).span
+    else:
+        parse(text, require_closed=True)
+
+
+@pytest.mark.parametrize("walk", [free_variables, ast_to_dict])
+def test_walks_reject_a_non_formula(walk):
+    with pytest.raises(TypeError, match="not a formula node: 'p'"):
+        walk("p")
 
 
 def test_every_parsed_node_carries_a_span():
