@@ -14,6 +14,8 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 
 from . import MAX_LEVELS, MAX_TRIALS, SCENARIO_NAMES
@@ -203,69 +205,65 @@ class _Encoder(json.JSONEncoder):
     ensure_ascii=False``, written by one recursive function.
 
     With ``indent`` set, CPython's encoder runs a pure-Python generator per
-    container and yields a fresh string per item; this writer appends to one
-    list and quotes each distinct string once per call, which is about three
-    times faster on ``parse`` output and keeps fewer strings alive.  Floats
-    go to the stock encoder.
+    container and yields a fresh string per item; this writer appends one
+    string per item (two when the value is a container): the text before a
+    dict's item, from its brace or comma to its quoted key and separator, is
+    made once per depth and set of keys.  Strings are quoted once per call;
+    floats, empty containers and other scalars go to the stock encoder.
     """
 
     def encode(self, o) -> str:
         stock = super().encode
         indent, item_sep, key_sep = " " * self.indent, self.item_separator, self.key_separator
-        quoted: dict[str, str] = {}
-        # layout[d]: what goes before the first item, before every later item
-        # and before the closing bracket of a container at depth d.
-        layout: list[tuple[str, str, str]] = []
+        quoted = lru_cache(None)(encode_basestring)
+        # The text of a value that is no container, by its exact type.
+        scalar = {str: quoted, int: int.__repr__, float: stock,
+                  bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+        # (depth, *keys) -> the text before each item of a dict at `depth`
+        # with those keys, and its closing text; depth -> the text before a
+        # list's first item, before a later one, and its closing text.
+        layouts: dict = {}
         chunks: list[str] = []
         append = chunks.append
 
-        def write_str(s: str) -> None:
-            text = quoted.get(s)
-            if text is None:
-                text = quoted[s] = encode_basestring(s)
-            append(text)
+        def dict_layout(depth: int, o: dict) -> tuple:
+            margin = item_sep + "\n" + indent * (depth + 1)
+            heads = []
+            for key in o:  # as the stock encoder, which quotes the text of a scalar key
+                if not isinstance(key, (str, int, float, type(None))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+                heads.append(margin + quoted(key if isinstance(key, str) else stock(key)) + key_sep)
+            heads[0] = "{" + heads[0][len(item_sep):]
+            layout = heads, "\n" + indent * depth + "}"
+            if all(type(key) is str for key in o):  # 1, 1.0 and True are one key
+                layouts[(depth, *o)] = layout
+            return layout
 
         def write(o, depth: int) -> None:
-            if isinstance(o, str):
-                write_str(o)
-            elif o is None:
-                append("null")
-            elif o is True:
-                append("true")
-            elif o is False:
-                append("false")
-            elif isinstance(o, int):
-                append(int.__repr__(o))
-            elif isinstance(o, float):
+            t = type(o)
+            if t is dict and o:
+                heads, close = layouts.get((depth, *o)) or dict_layout(depth, o)
+                items = zip(heads, o.values())
+            elif (t is list or t is tuple) and o:
+                if depth not in layouts:
+                    margin = "\n" + indent * (depth + 1)
+                    layouts[depth] = "[" + margin, item_sep + margin, "\n" + indent * depth + "]"
+                first, later, close = layouts[depth]
+                items = zip(chain((first,), repeat(later)), o)
+            elif isinstance(o, (dict, list, tuple)) and t not in (dict, list, tuple):  # a subclass
+                write(dict(o.items()) if isinstance(o, dict) else list(o), depth)
+                return
+            else:  # a scalar or an empty container; raises TypeError as stock does
                 append(stock(o))
-            elif isinstance(o, (list, tuple, dict)):
-                is_dict = isinstance(o, dict)
-                if not o:
-                    append("{}" if is_dict else "[]")
-                    return
-                while len(layout) <= depth:
-                    d = len(layout)
-                    first = "\n" + indent * (d + 1)
-                    layout.append((first, item_sep + first, "\n" + indent * d))
-                before, between, close = layout[depth]
-                if is_dict:
-                    append("{")
-                    for key, value in o.items():
-                        append(before)
-                        write_str(key)
-                        append(key_sep)
-                        write(value, depth + 1)
-                        before = between
-                    append(close + "}")
+                return
+            for head, value in items:
+                text = scalar.get(type(value))
+                if text is None:
+                    append(head)
+                    write(value, depth + 1)
                 else:
-                    append("[")
-                    for value in o:
-                        append(before)
-                        write(value, depth + 1)
-                        before = between
-                    append(close + "]")
-            else:
-                write(self.default(o), depth)  # raises TypeError, as the stock encoder does
+                    append(head + text(value))
+            append(close)
 
         write(o, 0)
         return "".join(chunks)

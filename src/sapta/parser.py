@@ -56,12 +56,11 @@ _SYMBOLS = sorted(
 )
 _LONG = "|".join(re.escape(text) for text in _SYMBOLS if len(text) > 1)
 _CHARS = re.escape("".join(text for text in _SYMBOLS if len(text) == 1))
+_KIND[""] = "eof"  # the empty word ends every token list
 
-# One match per lexeme: the whitespace before it (newlines excepted), then
-# an identifier or operator, a newline, a comment, an unexpected character,
-# or the end of the text.  Each alternative starts with a different class of
-# character, so no match backtracks.
-_LEXEME = re.compile(rf"([^\S\n]*)(?:({_IDENT}|{_LONG}|[{_CHARS}])|(\n)|(#[^\n]*)|(\S)|\Z)")
+# One match per lexeme: an identifier or operator, or a comment.  Whitespace
+# and unexpected characters lie between matches.
+_WORD = re.compile(rf"{_IDENT}|{_LONG}|[{_CHARS}]|#[^\n]*")
 
 _DESCRIPTION = {
     **{kind: f"'{plain}'" for kind, _, plain, _, _ in OPERATORS},
@@ -88,21 +87,22 @@ def tokenize(text: str, *, line: int = 1, column: int = 1, offset: int = 0) -> T
     returned when it built every span at once.  An unexpected character
     raises here.
     """
-    _, words, _, _, bad = zip(*_LEXEME.findall(text))
-    if any(bad):
+    words = _WORD.findall(text)
+    found = "".join(words)
+    if "#" in text:  # comments hold spaces, and are no tokens
+        found = "".join(found.split())
+        words = [word for word in words if word[0] != "#"]
+    if found != "".join(text.split()):  # a character lies outside every word
         _token_list(text, line, column, offset)  # raises at the first one
-    words = [*filter(None, words)]
-    kinds = [*map(_KIND.get, words, repeat("ident"))]
     words.append("")
-    kinds.append("eof")
-    return Tokens(text, line, column, offset, words, kinds)
+    return Tokens(text, line, column, offset, words, [*map(_KIND.get, words, repeat("ident"))])
 
 
 class Tokens(Sequence):
-    """The tokens of one fragment: their ``words`` and ``kinds`` lists, and
-    the coordinates of the fragment's first character.  The :class:`Token`
-    objects, with their spans, are built all at once when the first element
-    is read, and kept."""
+    """The tokens of one fragment: their ``words`` and ``kinds`` lists, which
+    parsing releases, and the coordinates of the fragment's first character.
+    The :class:`Token` objects, with their spans, are built all at once when
+    the first element is read, and kept."""
 
     __slots__ = ("text", "line", "column", "offset", "words", "kinds", "_tokens")
 
@@ -113,7 +113,7 @@ class Tokens(Sequence):
         self._tokens: list[Token] | None = None
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self._list() if self.kinds is None else self.kinds)
 
     def __getitem__(self, index):
         return self._list()[index]
@@ -140,27 +140,27 @@ def _token_list(text: str, line: int, column: int, offset: int) -> list[Token]:
     ln = line
     origin = -column  # column of character i on the current line is i - origin
     i = 0
-    for space, word, newline, comment, bad in _LEXEME.findall(text):
-        i += len(space)
-        if word:
-            j = i + len(word)
-            span = new(SourceSpan, (offset + i, offset + j, ln, i - origin))
-            append(new(Token, (kind_of(word, "ident"), word, span)))
-            i = j
-        elif newline:
-            ln += 1
-            origin = i
-            i += 1
-        elif comment:
-            i += len(comment)
-        elif bad:
-            start = offset + len(text[:i].encode("utf-8"))
+    # The gap before each word holds whitespace, then the first unexpected
+    # character if there is one; the empty word at the end is the eof token.
+    for start, end in [*map(re.Match.span, _WORD.finditer(text)), (len(text), len(text))]:
+        bad = text[i:start].lstrip()[:1]
+        j = text.index(bad, i) if bad else start  # the end of the whitespace
+        newline = text.rfind("\n", i, j)
+        if newline >= 0:
+            ln += text.count("\n", i, j)
+            origin = newline
+        if bad:
+            at = offset + len(text[:j].encode("utf-8"))
             raise ParseError(
                 f"unexpected character {bad!r}",
-                span=SourceSpan(start, start + len(bad.encode("utf-8")), ln, i - origin),
+                span=SourceSpan(at, at + len(bad.encode("utf-8")), ln, j - origin),
                 found=repr(bad),
             )
-    append(Token("eof", "", SourceSpan(offset + i, offset + i, ln, i - origin)))
+        word = text[start:end]
+        if word[:1] != "#":
+            span = new(SourceSpan, (offset + start, offset + end, ln, start - origin))
+            append(new(Token, (kind_of(word, "ident"), word, span)))
+        i = end
     if text.isascii():
         return out
     # Offsets so far count characters; byte[k] is the UTF-8 length of text[:k].
@@ -296,6 +296,7 @@ def _parse_tokens(tokens: Tokens, contexts: frozenset[str], require_closed: bool
     f = parser.formula()
     if parser.kinds[parser.pos] != "eof":
         parser.fail({"eof"})
+    tokens.words = tokens.kinds = None  # the nodes' spans need only the text
     if parser.operators >= MAX_DEPTH:  # fewer cannot build a deeper tree
         _check_height(f)
     if require_closed:

@@ -768,7 +768,8 @@ _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
     | st.floats() | st.just(-0.0) | st.text(),
     lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids)
-    | st.dictionaries(st.text(max_size=5), kids, max_size=4),
+    | st.dictionaries(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+                      kids, max_size=4),
     max_leaves=20,
 )
 
@@ -776,9 +777,20 @@ _json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_json_values)
 @example({"": [], "a\x00 \"\\": {}, "é": [[{}], ()], "n": [float("nan"), float("-inf")]})
+@example([{1: 2}, {None: 1}, {1.5: "a"}, {True: 1}, {"1": 0}, {1.0: {"1": 0}}, {float("nan"): 0}])
+@example([{1: 2, "a": 3}, {True: 2, "a": 3}, {"1": 2, "a": 3}, {1.0: 2, "a": 3}])
 def test_encoder_matches_stock_json(value):
     want = json.dumps(value, indent=2, ensure_ascii=False)
     assert json.dumps(value, indent=2, ensure_ascii=False, cls=cli._Encoder) == want
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 0}, [{"a": 1}, {"b": {frozenset(): 2}}], {1: {b"x": 0}}])
+def test_encoder_rejects_keys_as_stock_json_does(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2, ensure_ascii=False)
+    with pytest.raises(TypeError) as got:
+        json.dumps(value, indent=2, ensure_ascii=False, cls=cli._Encoder)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("nested", ["model", "judgments"])
