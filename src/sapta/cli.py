@@ -9,6 +9,7 @@ on bad flags.  Set SAPTA_COLOR=0 to disable ANSI color in text output.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -269,12 +270,35 @@ class _Encoder(json.JSONEncoder):
         return "".join(chunks)
 
 
+class _OutputError(OSError):
+    """A write to stdout failed, so no error report can be written there."""
+
+
+def _say(text: str) -> None:
+    """Print one line to stdout; a failed write raises _OutputError."""
+    try:
+        print(text)
+    except OSError as exc:
+        raise _OutputError(exc.errno, exc.strerror) from None
+
+
+def _warn(text: str) -> None:
+    """Print one line to stderr; a closed or failing stderr drops it."""
+    try:
+        if sys.stderr is not None:  # started with stderr closed
+            print(text, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, ensure_ascii=False, cls=_Encoder))
+    _say(json.dumps(obj, indent=2, ensure_ascii=False, cls=_Encoder))
 
 
 def _read(path: str) -> str:
     if path == "-":
+        if sys.stdin is None:  # started with stdin closed
+            raise SaptaError("standard input is closed")
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -332,7 +356,7 @@ def _cmd_parse(args) -> int:
     else:
         for e in entries:
             label = e["name"] or f"{e['path']}:{e['line']}"
-            print(f"{label}: {e['pretty']}")
+            _say(f"{label}: {e['pretty']}")
     return EX_OK
 
 
@@ -358,7 +382,7 @@ def _cmd_eval(args) -> int:
     else:
         for r in results:
             label = r["name"] or f"{r['path']}:{r['line']}"
-            print(f"{label}: {_tv(r['value'])}")
+            _say(f"{label}: {_tv(r['value'])}")
     return EX_OK
 
 
@@ -386,11 +410,11 @@ def _cmd_classify(args) -> int:
         out["metadata"] = _model_metadata(model)
         _emit_json(out)
     else:
-        print(_class_text(cls))
+        _say(_class_text(cls))
         if cls.contexts_used:
-            print("contexts: " + ", ".join(cls.contexts_used))
+            _say("contexts: " + ", ".join(cls.contexts_used))
         if out["schemaFormula"]:
-            print("schema: " + out["schemaFormula"])
+            _say("schema: " + out["schemaFormula"])
     return EX_OK
 
 
@@ -417,12 +441,12 @@ def _cmd_scenario(args) -> int:
         out["metadata"] = {"seed": args.seed}
         _emit_json(out)
     else:
-        print(f"scenario: {report.scenario_name}")
+        _say(f"scenario: {report.scenario_name}")
         for j in report.judgments:
-            print(f"  {j.context}: {j.predicate} = {_tv(j.value.value)}")
-        print(f"expected: {_class_text(report.expected_class)}")
+            _say(f"  {j.context}: {j.predicate} = {_tv(j.value.value)}")
+        _say(f"expected: {_class_text(report.expected_class)}")
         for name, value in report.numeric_witness.items():
-            print(f"  {name} = {value}")
+            _say(f"  {name} = {value}")
     return EX_OK
 
 
@@ -442,11 +466,11 @@ def _cmd_corpus(args) -> int:
     else:
         for r in results:
             verdict = "ok" if r.match else "MISMATCH"
-            print(
+            _say(
                 f"{r.name}: expected {_class_text(r.report.expected_class)}, "
                 f"classified {_class_text(r.classified)}, {verdict}"
             )
-        print(f"{sum(r.match for r in results)}/{len(results)} scenarios match")
+        _say(f"{sum(r.match for r in results)}/{len(results)} scenarios match")
     return EX_OK if ok else EX_MISMATCH
 
 
@@ -464,8 +488,8 @@ def _cmd_exclusivity(args) -> int:
         )
     else:
         for r in rows:
-            print(f"{r.first.value}/{r.second.value}: {r.verdict} ({r.reason})")
-        print(f"{distinct}/{len(rows)} distinct")
+            _say(f"{r.first.value}/{r.second.value}: {r.verdict} ({r.reason})")
+        _say(f"{distinct}/{len(rows)} distinct")
     return EX_OK if distinct == len(rows) else EX_ERROR
 
 
@@ -503,19 +527,19 @@ def main(argv: list[str] | None = None) -> int:
                 output_format = value
         if output_format != "text":
             _emit_json({"error": {"kind": "UsageError", "message": str(exc), "span": None}})
-        print(f"usage error: {exc}", file=sys.stderr)
+        _warn(f"usage error: {exc}")
         return EX_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except BrokenPipeError:
-        raise  # stdout is gone: no error report can be written to it
+    except _OutputError:
+        raise  # stdout failed: no error report can be written to it
     # ModuleNotFoundError: numpy is missing and `scenario cat --trials` needs it.
     except (SaptaError, OSError, json.JSONDecodeError, ValueError, ModuleNotFoundError) as exc:
-        if args.format == "json":
-            _emit_json({"error": _error_payload(exc)})
         span = getattr(exc, "span", None)
         where = f"{span.line}:{span.column}: " if span is not None else ""
-        print(f"{where}error: {exc}", file=sys.stderr)
+        _warn(f"{where}error: {exc}")
+        if args.format == "json":
+            _emit_json({"error": _error_payload(exc)})
         return EX_ERROR
 
 
@@ -526,13 +550,19 @@ def entry() -> None:
     # has made so far at each collection.  main() leaves the collector as it
     # finds it, for callers that run it in-process.
     gc.disable()
+    if sys.stdout is None:  # started with stdout closed: no result can be written
+        _warn("error: standard output is closed")
+        sys.exit(EX_ERROR)
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout (`sapta parse f | head`).  Python flushes
-        # stdout again at exit; point it at devnull so that flush cannot fail.
+    except OSError as exc:
+        # stdout failed: the reader closed it (`sapta parse f | head`) or the
+        # disk is full.  Python flushes stdout again at exit; point it at
+        # devnull so that flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if exc.errno != errno.EPIPE:
+            _warn(f"error: cannot write output: {exc.strerror}")
         sys.exit(EX_ERROR)
     sys.exit(code)
 

@@ -9,6 +9,7 @@ concurrently.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ModelError, NotASchema, UndeclaredName, UnboundVariable
@@ -54,8 +55,9 @@ class ContextDef(Record):
         object.__setattr__(self, "extension", frozenset(extension))
 
 
-# The code of a valuation cell no entry has listed yet; such cells become U.
+# The code of a valuation cell no row has listed yet; such cells become U.
 _UNLISTED = len(_CHAIN)
+_U_BYTE = bytes([_RANK[Tv3.UNDET]])
 _CODE_OF_TEXT = {v.value: rank for v, rank in _RANK.items()}
 
 
@@ -79,13 +81,13 @@ def _declared(index: dict, name, kind: str, at: Formula | None = None) -> int:
 class Model:
     """Immutable finite structure formulas are evaluated against.
 
-    Names are resolved to indices once, on construction.  The totalized
-    valuation is one bytearray of rank codes laid out
-    [context][predicate][entity], so each (context, predicate) column is
-    contiguous; extensions are sets of entity indices, and the
-    incompatibility relation is a set of packed context-index pairs
-    ``min * K + max``.  Every structure is proportional to the input or to
-    the N·K·P cells of the valuation.
+    Names are resolved to indices once, on construction.  The valuation is
+    kept per (context, predicate) column: a dict from ``ci * P + pi`` to the
+    N rank codes of that column, indexed by entity.  Only columns some row
+    lists are stored; every other column reads one shared all-U column, so
+    memory grows with the listed rows, not with the N·K·P cells declared.
+    Extensions are sets of entity indices, and the incompatibility relation
+    is a set of packed context-index pairs ``min * K + max``.
     """
 
     def __init__(
@@ -97,17 +99,16 @@ class Model:
         incompatible: Iterable[tuple[str, str]] = (),
         background: str | None = None,
     ):
-        cells = self._build(domain, contexts, predicates, incompatible, background)
+        rows = []
         for (c, e, p), v in (valuation or {}).items():
-            cell = self._cell(c, e, p)
             if not isinstance(v, Tv3):
                 raise ModelError(f"valuation of {(c, e, p)!r} is not a truth value: {v!r}")
-            cells[cell] = _RANK[v]
-        self._store(cells)
+            rows.append({"context": c, "entity": e, "predicate": p, "value": v.value})
+        self._build(domain, contexts, predicates, rows, incompatible, background)
 
-    def _build(self, domain, contexts, predicates, incompatible, background) -> bytearray:
-        """Index and check everything but the valuation, which the caller
-        writes into the returned cells before passing them to ``_store``."""
+    def _build(self, domain, contexts, predicates, rows, incompatible, background) -> None:
+        """Index and check every part; ``rows`` are valuation rows in JSON
+        form, of which the last one listing a cell wins."""
         self.domain: tuple[str, ...] = tuple(domain)
         self._entity_index = {e: i for i, e in enumerate(self.domain)}
         if len(self._entity_index) != len(self.domain):
@@ -163,32 +164,29 @@ class Model:
                 add(j * k + i)
             else:
                 raise ModelError(f"context {a!r} cannot be incompatible with itself")
-        return bytearray([_UNLISTED]) * (k * len(self.predicates) * len(self.domain))
 
-    def _store(self, cells: bytearray) -> None:
-        """Keep the valuation, defaulting every cell no entry listed to U.
+        # Each row is coded straight into its column; which check a row fails
+        # is worked out only once one has.
+        n, p = len(self.domain), len(self.predicates)
+        blank = bytearray([_UNLISTED]) * n
+        columns = defaultdict(blank.copy)
+        entities_at, predicates_at, codes = self._entity_index, self._predicate_index, _CODE_OF_TEXT
+        try:
+            for row in rows:
+                columns[contexts_at[row["context"]] * p + predicates_at[row["predicate"]]][
+                    entities_at[row["entity"]]
+                ] = codes[row["value"]]
+        except (KeyError, TypeError):
+            self._raise_row_fault(rows)
+            raise
+        # Output metadata: how many declared cells no row listed.
+        self.defaulted_valuations = k * p * n - sum(n - c.count(_UNLISTED) for c in columns.values())
+        self._columns = {key: c.replace(bytes([_UNLISTED]), _U_BYTE) for key, c in columns.items()}
+        self._undetermined = _U_BYTE * n
 
-        The count of defaulted cells is kept for output metadata.
-        """
-        self.defaulted_valuations = cells.count(_UNLISTED)
-        self._cells = cells.replace(bytes([_UNLISTED]), bytes([_RANK[Tv3.UNDET]]))
-
-    def _cell(self, context, entity, predicate) -> int:
-        """Offset of a valuation cell; raises on an undeclared (hashable) name."""
-        ci = self._context_index.get(context)
-        if ci is None:
-            raise ModelError(f"valuation names undeclared context {context!r}")
-        ei = self._entity_index.get(entity)
-        if ei is None:
-            raise ModelError(f"valuation names undeclared entity {entity!r}")
-        pi = self._predicate_index.get(predicate)
-        if pi is None:
-            raise ModelError(f"valuation names undeclared predicate {predicate!r}")
-        return self._column(ci, pi) + ei
-
-    def _column(self, ci: int, pi: int) -> int:
-        """Offset of the (context, predicate) column in the valuation cells."""
-        return (ci * len(self.predicates) + pi) * len(self.domain)
+    def _column(self, ci: int, pi: int) -> bytes:
+        """The rank codes of the (context, predicate) column, by entity."""
+        return self._columns.get(ci * len(self.predicates) + pi, self._undetermined)
 
     # -- lookups ------------------------------------------------------------
 
@@ -203,7 +201,7 @@ class Model:
         ci = _declared(self._context_index, context, "context")
         ei = _declared(self._entity_index, entity, "entity")
         pi = _declared(self._predicate_index, predicate, "predicate")
-        return _CHAIN[self._cells[self._column(ci, pi) + ei]]
+        return _CHAIN[self._column(ci, pi)[ei]]
 
     def incompatible(self, c1: str, c2: str) -> bool:
         """Whether the unordered context pair is marked mutually incompatible.
@@ -239,27 +237,12 @@ class Model:
         if background is not None:
             _name(background, "'background'")
         model = cls.__new__(cls)
-        cells = model._build(domain, ctx_objs, predicates, incompatible, background)
-        # Each row is coded straight into its cell; which check a row fails
-        # is worked out only once one has.
-        contexts_at, entities_at = model._context_index, model._entity_index
-        predicates_at, codes = model._predicate_index, _CODE_OF_TEXT
-        n, p = len(model.domain), len(model.predicates)
-        try:
-            for row in rows:
-                cells[
-                    (contexts_at[row["context"]] * p + predicates_at[row["predicate"]]) * n
-                    + entities_at[row["entity"]]
-                ] = codes[row["value"]]
-        except (KeyError, TypeError):
-            model._raise_row_fault(rows)
-            raise
-        model._store(cells)
+        model._build(domain, ctx_objs, predicates, rows, incompatible, background)
         return model
 
     def _raise_row_fault(self, rows: list) -> None:
-        """Raise the ModelError for the first JSON valuation row that is
-        malformed or names an undeclared context, entity or predicate."""
+        """Raise the ModelError for the first valuation row that is malformed
+        or names an undeclared context, entity or predicate."""
         for row in rows:
             try:
                 key = (row["context"], row["entity"], row["predicate"])
@@ -267,7 +250,13 @@ class Model:
                 hash(key)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelError(f"malformed valuation row {row!r}: {exc}") from None
-            self._cell(*key)
+            for name, kind, index in zip(
+                key,
+                ("context", "entity", "predicate"),
+                (self._context_index, self._entity_index, self._predicate_index),
+            ):
+                if name not in index:
+                    raise ModelError(f"valuation names undeclared {kind} {name!r}")
 
     def to_json(self) -> dict:
         """Emit the JSON object form with a fully explicit valuation."""
@@ -277,7 +266,7 @@ class Model:
         for c, ci in sorted(self._context_index.items()):
             for e, ei in entities:
                 for p, pi in predicates:
-                    code = self._cells[self._column(ci, pi) + ei]
+                    code = self._column(ci, pi)[ei]
                     valuation.append(
                         {"context": c, "entity": e, "predicate": p, "value": _CHAIN[code].value}
                     )
@@ -474,16 +463,16 @@ class _Compiler:
         if isinstance(f, ContextGuard):  # a guard naming no context: raises
             _declared(m._context_index, name, "context", f)
         pi = _declared(m._predicate_index, name, "predicate", f)
-        column = ctx or m.background
-        if column is None:
+        context = ctx or m.background
+        if context is None:
             raise UndeclaredName(
                 f"predicate {name!r} used outside any guard and the model declares no background context",
                 f.span,
             )
-        cells, base = m._cells, m._column(m._context_index[column], pi)
+        column = m._column(m._context_index[context], pi)
         if slot is None:
-            return _const(cells[base + ei])
-        return lambda env: cells[base + env[slot]]
+            return _const(column[ei])
+        return lambda env: column[env[slot]]
 
 
 def check_incompatibility(

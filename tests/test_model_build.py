@@ -5,13 +5,18 @@ for a cell wins, unlisted cells are U, and the incompatible pairs form a set
 of unordered pairs.  It shares no code with sapta's semantics.
 """
 import copy
+import json
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
 from sapta.errors import ModelError
-from sapta.semantics import Model
+from sapta.parser import parse
+from sapta.predication import Judgment, PredicationTag, classify
+from sapta.semantics import ContextDef, Model, evaluate
+from sapta.trivalent import Tv3
 
 
 @st.composite
@@ -184,3 +189,52 @@ def test_two_letter_string_is_not_a_pair_of_one_letter_contexts():
             "predicates": ["p"], "incompatible": ["ab"]}
     with pytest.raises(ModelError, match="incompatible entry must be a pair of context names, got 'ab'"):
         Model.from_json(data)
+
+
+# -- one row writer behind both constructors ------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(models())
+@example(DUPLICATE_ROWS)
+def test_constructor_and_from_json_agree(data):
+    valuation = {(r["context"], r["entity"], r["predicate"]): Tv3.from_str(r["value"])
+                 for r in data["valuation"]}
+    built = Model(
+        data["domain"],
+        [ContextDef(c["name"], c["extension"]) for c in data["contexts"]],
+        data["predicates"],
+        valuation,
+        [tuple(pair) for pair in data["incompatible"]],
+        data["background"],
+    )
+    loaded = Model.from_json(copy.deepcopy(data))
+    assert built.to_json() == loaded.to_json()
+    assert built.defaulted_valuations == loaded.defaulted_valuations
+
+
+def test_rowless_model_memory_follows_the_file_not_the_declared_cells():
+    # 2000 entities x 250 contexts x 100 predicates = 5e7 cells, no rows.
+    text = json.dumps({
+        "domain": [f"e{i}" for i in range(2000)],
+        "background": "c0",
+        "contexts": [{"name": f"c{i}"} for i in range(250)],
+        "predicates": [f"p{i}" for i in range(100)],
+        "valuation": [],
+        "incompatible": [],
+    })
+    data = json.loads(text)
+    formula = parse("forall x. p99(x)")  # reads the background column c0 of p99
+    judgments = [Judgment("c0", "p0", Tv3.TRUE), Judgment("c1", "p0", Tv3.FALSE)]
+    tracemalloc.start()
+    try:
+        model = Model.from_json(data)
+        value = evaluate(formula, model)
+        tag = classify(judgments, model, "p0").tag
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.defaulted_valuations == 50_000_000
+    assert value is Tv3.UNDET
+    assert tag is PredicationTag.INCONSISTENT  # c0 and c1 are not declared incompatible
+    assert peak < 50 * len(text.encode())

@@ -7,6 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import sapta.predication as predication
+from sapta.cli import EX_ERROR, main
 from sapta.errors import ModelError, UndeclaredName
 from sapta.formulas import schema, undet_name
 from sapta.predication import (
@@ -383,3 +385,22 @@ def test_classify_is_not_quadratic_in_equal_valued_contexts():
     result = classify(judgments, m, "p")
     assert time.perf_counter() - start < 1.0
     assert result == PredicationClass(PredicationTag.P1, ("c0",))
+
+
+def test_certificate_flags_every_row_of_a_mistagged_witness(monkeypatch):
+    # P3's witness classified as P4: exactly the six rows pairing P3 overlap.
+    real = predication.classify
+
+    def mistag(*args):
+        result = real(*args)
+        if result.tag is PredicationTag.P3:
+            return PredicationClass(PredicationTag.P4, result.contexts_used)
+        return result
+
+    monkeypatch.setattr(predication, "classify", mistag)
+    overlapping = {(r.first, r.second) for r in mutual_exclusivity_certificate()
+                   if r.verdict == "OVERLAP"}
+    tag = [PredicationTag(f"P{k}") for k in range(1, 8)]
+    assert overlapping == {(tag[0], tag[2]), (tag[1], tag[2]), (tag[2], tag[3]),
+                           (tag[2], tag[4]), (tag[2], tag[5]), (tag[2], tag[6])}
+    assert main(["exclusivity", "--format", "text"]) == EX_ERROR

@@ -594,3 +594,22 @@ def test_guard_of_accepts_parsed_schema_instances():
     text = "forall x. ((w1(x) -> r(x)) & (w2(x) -> ~r(x)) & ~(w1(x) <-> w2(x)))"
     pairs = guard_of(parse(text))
     assert [c for c, _ in pairs] == ["w1", "w2"]
+
+
+def test_guard_of_takes_three_guards_in_textual_order():
+    pairs = guard_of(schema(7, ["a", "b", "c"], "p"))
+    assert pairs == [
+        ("a", PredicateApp("p", "x")),
+        ("b", Not(PredicateApp("p", "x"))),
+        ("c", PredicateApp(undet_name("p"), "x")),
+    ]
+
+
+@pytest.mark.parametrize("clauses", [
+    "~(c1(x) <-> c2(x)) & ~(c2(x) <-> c3(x)) & ~(c1(x) <-> c4(x))",
+    "~(c1(x) <-> c2(x)) & ~(c2(x) <-> c3(x)) & ~(c2(x) <-> c1(x))",
+])
+def test_guard_of_rejects_the_right_count_of_wrong_clauses(clauses):
+    text = f"forall x. ((c1(x) -> p(x)) & (c2(x) -> ~p(x)) & (c3(x) -> q(x)) & {clauses})"
+    with pytest.raises(NotASchema, match="pairwise incompatibility clauses do not match"):
+        guard_of(parse(text))
