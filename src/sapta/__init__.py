@@ -18,6 +18,7 @@ _HOMES = {
         "ModelError", "NotASchema", "OrthogonalSelection", "ParseError", "SaptaError",
         "UnboundVariable", "UndeclaredName",
     ),
+    "evaluation": ("check_incompatibility", "evaluate", "guard_of"),
     "formulas": (
         "And", "ContextGuard", "Exists", "ForAll", "Formula", "Iff", "Implies", "Not", "Or",
         "PredicateApp", "SourceSpan", "ast_to_dict", "free_variables", "pretty", "schema",
@@ -34,7 +35,7 @@ _HOMES = {
         "Operator", "StateVector", "fringe_visibility", "inner_product", "tensor_product",
         "weak_value",
     ),
-    "semantics": ("ContextDef", "Model", "check_incompatibility", "evaluate", "guard_of"),
+    "semantics": ("ContextDef", "Model"),
     "scenarios": (
         "CorpusResult", "ScenarioReport", "find_cat_seed", "run_corpus", "scenario_cat",
         "scenario_double_slit", "scenario_epr", "scenario_qcc", "scenario_threshold",

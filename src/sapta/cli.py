@@ -266,7 +266,13 @@ class _Encoder(json.JSONEncoder):
                     append(head + text(value))
             append(close)
 
-        write(o, 0)
+        try:
+            write(o, 0)
+        finally:
+            # `write` calls itself through its closure cell; emptying the cell
+            # ends that cycle, which would keep the chunks and caches alive
+            # until a collection, and the CLI process runs none.
+            del write
         return "".join(chunks)
 
 
@@ -544,27 +550,44 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    # One command's cyclic garbage is a few hundred objects whatever the
-    # input size (mostly the argparse parser), so the process never collects
-    # it; with the collector on, decoding a large model rescans every list it
-    # has made so far at each collection.  main() leaves the collector as it
-    # finds it, for callers that run it in-process.
+    """Run ``main()`` as the ``sapta`` process and end the process.
+
+    The cyclic collector is off for the whole run.  One command's cyclic
+    garbage is a few hundred objects whatever the input size (mostly the
+    argparse parser), so the process never collects it; with the collector
+    on, decoding a large model rescans every list it has made so far at each
+    collection.  ``main()`` leaves the collector as it finds it, for callers
+    that run it in-process.
+
+    The process ends in one place: stdout is flushed, then stderr, then
+    ``os._exit`` ends it with the exit code.  So the interpreter's teardown
+    never runs: no final collections, no atexit handlers and no exit-time
+    flush of any other stream.  A failed write or flush of stdout (a reader
+    that closed it, as ``sapta parse f | head`` does, or a full disk) ends
+    the run with exit 1 and one stderr line, none for a closed pipe; stdout
+    is never written again.
+    """
     gc.disable()
+    code = EX_ERROR
     if sys.stdout is None:  # started with stdout closed: no result can be written
         _warn("error: standard output is closed")
-        sys.exit(EX_ERROR)
+    else:
+        try:
+            try:
+                code = main()
+            except SystemExit as exc:  # --help, which argparse ends with exit 0
+                code = exc.code
+            sys.stdout.flush()
+        except OSError as exc:
+            code = EX_ERROR
+            if exc.errno != errno.EPIPE:
+                _warn(f"error: cannot write output: {exc.strerror}")
     try:
-        code = main()
-        sys.stdout.flush()
-    except OSError as exc:
-        # stdout failed: the reader closed it (`sapta parse f | head`) or the
-        # disk is full.  Python flushes stdout again at exit; point it at
-        # devnull so that flush cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if exc.errno != errno.EPIPE:
-            _warn(f"error: cannot write output: {exc.strerror}")
-        sys.exit(EX_ERROR)
-    sys.exit(code)
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ a value's rank on the chain F < U < T (F, U, T = 0, 1, 2): negation is
 ``2 - x``, conjunction ``min`` and disjunction ``max``; implication is
 material, ``OR[NOT[a]][b]``, and the biconditional is implication both ways.
 These tables are the only definition of the connectives: the ``neg3`` ...
-``iff3`` functions and ``semantics.evaluate`` both read them, so replacing
+``iff3`` functions and ``evaluation.evaluate`` both read them, so replacing
 ``IMPL`` (and with it ``IFF``) changes ``impl3``, ``iff3`` and ``evaluate``
 together.  Values and tables are immutable, so they are safe to share
 across threads.

@@ -9,6 +9,7 @@ import random
 import numpy as np
 
 from helpers_formulas import random_formula
+from sapta.evaluation import evaluate
 from sapta.formulas import pretty, schema
 from sapta.parser import parse
 from sapta.predication import (
@@ -23,7 +24,7 @@ from sapta.predication import (
 )
 from sapta.quantum import Operator, StateVector, weak_value
 from sapta.scenarios import run_corpus, scenario_cat, scenario_epr
-from sapta.semantics import ContextDef, Model, evaluate
+from sapta.semantics import ContextDef, Model
 from sapta.trivalent import Tv3, conj3, disj3, impl3, neg3
 
 T, F, U = Tv3.TRUE, Tv3.FALSE, Tv3.UNDET

@@ -476,7 +476,8 @@ def _child_env():
 
 def test_import_does_not_run_numpy(tmp_path, cat_files):
     # Each command imports only the modules it runs: only `scenario cat` with
-    # --trials needs numpy, and no module needs dataclasses.
+    # --trials needs numpy, no module needs dataclasses, and only `eval` loads
+    # the evaluator.
     model, judgments = cat_files
     formulas = tmp_path / "f.lgc"
     formulas.write_text("forall x. (box_open(x) -> alive(x))\n")
@@ -488,24 +489,27 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
         "        assert sapta.cli.main(sys.argv[1:]) == 0\n"
         "print(' '.join(sorted(sys.modules)))\n"
     )
-    never = {"dataclasses", "numpy", "sapta.scenarios", "sapta.quantum"}
+    never = {"dataclasses", "numpy"}
+    startup = {"sapta", "sapta.cli", "sapta.errors"}
+    parsing = startup | {"sapta.formulas", "sapta.parser"}
+    modelled = startup | {"sapta.formulas", "sapta.semantics", "sapta.trivalent"}
+    judged = modelled | {"sapta.predication"}
+    scenarios = judged | {"sapta.quantum", "sapta.scenarios"}
     cases = [
-        ([], never | {"sapta.semantics", "sapta.predication"}),
-        (["parse", str(formulas)], never | {"sapta.semantics", "sapta.predication"}),
-        (["eval", str(formulas), "--model", str(model)], never | {"sapta.predication"}),
-        (["classify", str(judgments), "--model", str(model)], never),
-        (["exclusivity"], never),
+        ([], startup),
+        (["parse", str(formulas)], parsing),
+        (["eval", str(formulas), "--model", str(model)], modelled | parsing | {"sapta.evaluation"}),
+        (["classify", str(judgments), "--model", str(model)], judged),
+        (["exclusivity"], judged),
     ]
-    numpy_free = {"dataclasses", "numpy"}
-    cases += [
-        (["scenario", name], numpy_free)
-        for name in ("double_slit", "wigner", "epr", "qcc", "threshold")
-    ]
-    cases += [(["scenario", "cat", "--open", "--seed", "7"], numpy_free), (["corpus"], numpy_free)]
-    for argv, absent in cases:
+    cases += [(["scenario", name], scenarios) for name in SCENARIO_NAMES]
+    cases += [(["scenario", "cat", "--open", "--seed", "7"], scenarios), (["corpus"], scenarios)]
+    for argv, loaded in cases:
         done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                               text=True, check=True, env=_child_env())
-        assert absent.isdisjoint(done.stdout.split()), argv
+        modules = set(done.stdout.split())
+        assert never.isdisjoint(modules), argv
+        assert {m for m in modules if m.partition(".")[0] == "sapta"} == loaded, argv
 
 
 # Every name the package exported when its __init__ imported all submodules.

@@ -4,6 +4,7 @@ Whatever the input, `main()` returns one of the documented exit codes and,
 under ``--format json``, prints exactly one JSON object.  As for argparse,
 the last ``--format`` given sets the format, on a usage error too.
 """
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import json
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from sapta.cli import main
+from sapta.cli import build_parser, main
 
 EXIT_CODES = {0, 1, 2, 64}
 
@@ -66,17 +67,61 @@ def json_file(values):
 
 
 SMALL_INTS = st.integers(-3, 50).map(str)
-SCENARIO_FLAGS = st.lists(st.one_of(
-    st.tuples(st.just("--seed"), SMALL_INTS),
-    st.tuples(st.just("--open")),
-    st.tuples(st.just("--trials"), SMALL_INTS),
-    st.tuples(st.just("--perspective"), st.sampled_from(["friend", "wigner", "combined", "x"])),
-    st.tuples(st.just("--friend-outcome"), st.sampled_from(["up", "down"])),
-    st.tuples(st.just("--basis"), st.sampled_from(["zero_one", "plus_minus"])),
-    st.tuples(st.just("--levels"), st.text("0123456789.,-e ", max_size=10)),
-    st.tuples(st.sampled_from(["--lower-cut", "--upper-cut"]), st.sampled_from(["0.2", "0.8", "nan", "-1", "x"])),
-    st.tuples(st.sampled_from(["--no-one-slit-observed", "--no-two-slits-unobserved"])),
-), max_size=4).map(lambda flags: [part for flag in flags for part in flag])
+
+
+def value(*choices):
+    """The argv words of a flag that takes one of `choices`, or an integer."""
+    return st.sampled_from(choices).map(lambda v: [v]) if choices else SMALL_INTS.map(lambda v: [v])
+
+
+SWITCH = st.just([])
+
+# Each subcommand's flags, each with the words that may follow it.  Every
+# option string build_parser() declares must be here (--format is drawn for
+# every subcommand below); test_fuzz_draws_every_flag_the_parser_declares
+# checks that, so a new flag fails the suite until it is fuzzed.
+FLAGS = {
+    "parse": {},
+    "eval": {
+        "--model": st.just(["model.json"]),
+        "--incompat": value("relational", "extensional", "x"),
+    },
+    "classify": {
+        "--model": st.just(["model.json"]),
+        "--judgments": st.just(["judgments.json"]),
+        "--predicate": value("p", "q"),
+    },
+    "scenario": {
+        "--seed": value(),
+        "--open": SWITCH,
+        "--trials": value(),
+        "--perspective": value("friend", "wigner", "combined", "x"),
+        "--friend-outcome": value("up", "down"),
+        "--basis": value("zero_one", "plus_minus"),
+        "--levels": st.text("0123456789.,-e ", max_size=10).map(lambda v: [v]),
+        "--lower-cut": value("0.2", "0.8", "nan", "-1", "x"),
+        "--upper-cut": value("0.2", "0.8", "nan", "-1", "x"),
+        **{f"--{no}{flag}": SWITCH
+           for flag in ("one-slit-observed", "one-slit-unobserved", "two-slits-unobserved")
+           for no in ("", "no-")},
+    },
+    "corpus": {"--seed": value()},
+    "exclusivity": {},
+}
+# Flags each invocation of a subcommand carries, so that it gets past the
+# argument parser most of the time.
+REQUIRED = {"eval": ["--model"], "classify": ["--model"]}
+
+
+@st.composite
+def command_flags(draw, command):
+    """Argv words for the subcommand's required flags and up to four others."""
+    table = FLAGS[command]
+    required = REQUIRED.get(command, [])
+    optional = [flag for flag in table if flag not in required]
+    names = required + (draw(st.lists(st.sampled_from(optional), max_size=4)) if optional else [])
+    return [word for name in names for word in [name, *draw(table[name])]]
+
 
 # Up to two output-format flags, in either spelling, in any order with --bogus.
 FORMAT_FLAGS = st.lists(
@@ -87,8 +132,8 @@ FORMAT_FLAGS = st.lists(
 
 @st.composite
 def invocations(draw):
-    """(argv, files, output format) for one subcommand, with random format flags."""
-    command = draw(st.sampled_from(["parse", "eval", "classify", "scenario", "corpus", "exclusivity"]))
+    """(argv, files, output format) for one subcommand, with random flags."""
+    command = draw(st.sampled_from(list(FLAGS)))
     files = {}
     if command == "parse":
         files["f.lgc"] = draw(FORMULA_TEXT)
@@ -96,25 +141,32 @@ def invocations(draw):
     elif command == "eval":
         files["f.lgc"] = draw(FORMULA_TEXT)
         files["model.json"] = draw(json_file(MODELS))
-        argv = ["eval", "f.lgc", "--model", "model.json"]
-        argv += draw(st.sampled_from([[], ["--incompat", "extensional"]]))
+        argv = ["eval", "f.lgc"]
     elif command == "classify":
         files["model.json"] = draw(json_file(MODELS))
         files["judgments.json"] = draw(json_file(JUDGMENT_SETS))
-        argv = ["classify", "judgments.json", "--model", "model.json"]
-        argv += draw(st.sampled_from([[], ["--predicate", "p"]]))
+        argv = ["classify", *draw(st.sampled_from([["judgments.json"], []]))]
     elif command == "scenario":
-        name = draw(st.sampled_from(["double_slit", "cat", "wigner", "epr", "qcc", "threshold"]))
-        argv = ["scenario", name, *draw(SCENARIO_FLAGS)]
-    elif command == "corpus":
-        argv = ["corpus", "--seed", draw(SMALL_INTS)]
+        argv = ["scenario", draw(st.sampled_from(["double_slit", "cat", "wigner", "epr", "qcc", "threshold"]))]
     else:
-        argv = ["exclusivity"]
+        argv = [command]
+    argv += draw(command_flags(command))
     tail = draw(st.permutations(draw(FORMAT_FLAGS) + draw(st.sampled_from([[], [["--bogus"]]]))))
     argv += [part for flag in tail for part in flag]
     formats = [flag[-1].removeprefix("--format=") for flag in tail if flag != ["--bogus"]]
     output_format = formats[-1] if formats else "json"
     return argv, files, output_format
+
+
+def test_fuzz_draws_every_flag_the_parser_declares():
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        command: {option for action in parser._actions
+                  if not isinstance(action, argparse._HelpAction)  # --help ends main() by SystemExit
+                  for option in action.option_strings}
+        for command, parser in subcommands.choices.items()
+    }
+    assert declared == {command: {*flags, "--format"} for command, flags in FLAGS.items()}
 
 
 @settings(max_examples=200, deadline=None)

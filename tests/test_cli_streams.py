@@ -19,7 +19,11 @@ from sapta.cli import EX_ERROR, EX_OK, EX_USAGE
 GOLDEN = Path(__file__).parent / "golden"
 FORMULAS = str(GOLDEN / "closed.lgc")
 MODEL = str(GOLDEN / "model.json")
-ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+# Children get Python's default block-buffered stdout, whatever this
+# process's PYTHONUNBUFFERED says: a failed write then surfaces at entry()'s
+# flush, not at the print.
+ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+       "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 HAS_DEV_FULL = os.path.exists("/dev/full")
 
 

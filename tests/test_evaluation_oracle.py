@@ -9,6 +9,7 @@ import time
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
+from sapta.evaluation import evaluate
 from sapta.formulas import (
     And,
     ContextGuard,
@@ -20,7 +21,7 @@ from sapta.formulas import (
     Or,
     PredicateApp,
 )
-from sapta.semantics import ContextDef, Model, evaluate
+from sapta.semantics import ContextDef, Model
 from sapta.trivalent import Tv3
 
 RANK = {"F": 0, "U": 1, "T": 2}

@@ -7,6 +7,8 @@ cyclic garbage whatever its input size, which the tests below pin.
 import gc
 import itertools
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -23,12 +25,14 @@ def collector():
 
 
 def test_entry_runs_main_with_the_collector_off(collector, monkeypatch):
-    seen = []
+    # entry() ends the process through os._exit; intercepted here, so that
+    # the test process goes on.
+    seen, exits = [], []
     monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or EX_OK)
+    monkeypatch.setattr(os, "_exit", exits.append)
     gc.enable()
-    with pytest.raises(SystemExit) as exit_info:
-        cli.entry()
-    assert exit_info.value.code == EX_OK
+    cli.entry()
+    assert exits == [EX_OK]
     assert seen == [False]
 
 
@@ -114,3 +118,30 @@ def test_cyclic_garbage_does_not_grow_with_input(collector, capsys, tmp_path, ma
     at_small = _cycles_left(make_argv(tmp_path / "small", small), capsys)
     at_large = _cycles_left(make_argv(tmp_path / "large", large), capsys)
     assert at_small == at_large
+
+
+def test_encoding_leaves_nothing_behind(collector):
+    # With the collector off, as in the CLI process, a cycle through the
+    # encoder's writer would hold its output chunks and caches until exit.
+    nodes = [{"node": "ForAll", "var": f"x{i}", "body": {"node": "PredicateApp", "name": "p",
+                                                        "var": f"x{i}"}} for i in range(2000)]
+    value = {"formulas": [{"line": i, "pretty": f"forall x{i}. p(x{i})", "ast": node}
+                          for i, node in enumerate(nodes)]}
+
+    def encode():
+        return json.dumps(value, indent=2, ensure_ascii=False, cls=cli._Encoder)
+
+    encode()  # one-off allocations of a first call
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        text = encode()
+        assert len(text) > 400_000
+        del text
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gc.collect() == 0
+    assert after - before < 16_000

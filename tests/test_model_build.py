@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 
 from sapta.errors import ModelError
+from sapta.evaluation import evaluate
 from sapta.parser import parse
 from sapta.predication import Judgment, PredicationTag, classify
-from sapta.semantics import ContextDef, Model, evaluate
+from sapta.semantics import ContextDef, Model
 from sapta.trivalent import Tv3
 
 
@@ -238,3 +239,28 @@ def test_rowless_model_memory_follows_the_file_not_the_declared_cells():
     assert value is Tv3.UNDET
     assert tag is PredicationTag.INCONSISTENT  # c0 and c1 are not declared incompatible
     assert peak < 50 * len(text.encode())
+
+
+def test_building_columns_holds_no_second_copy_of_them():
+    # N = 20,000 entities; one row in each of the K x P = 2,000 columns, so
+    # the columns take 40 MB and the file about 334 KB.
+    n, k, p = 20_000, 50, 40
+    data = json.loads(json.dumps({
+        "domain": [f"e{i}" for i in range(n)],
+        "background": "c0",
+        "contexts": [{"name": f"c{c}"} for c in range(k)],
+        "predicates": [f"p{q}" for q in range(p)],
+        "valuation": [{"context": f"c{c}", "entity": f"e{c * p + q}", "predicate": f"p{q}",
+                       "value": "TFU"[q % 3]} for c in range(k) for q in range(p)],
+    }))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        model = Model.from_json(data)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.defaulted_valuations == n * k * p - k * p
+    assert model.value("c49", "e1999", "p39") is Tv3.TRUE  # "TFU"[39 % 3]
+    assert retained - before > n * k * p
+    assert peak - before <= 1.1 * (retained - before)

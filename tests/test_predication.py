@@ -10,6 +10,7 @@ from hypothesis import given, settings
 import sapta.predication as predication
 from sapta.cli import EX_ERROR, main
 from sapta.errors import ModelError, UndeclaredName
+from sapta.evaluation import evaluate
 from sapta.formulas import schema, undet_name
 from sapta.predication import (
     Entailment,
@@ -26,7 +27,7 @@ from sapta.predication import (
     schema_formula_for,
     tag_for_values,
 )
-from sapta.semantics import ContextDef, Model, evaluate
+from sapta.semantics import ContextDef, Model
 from sapta.trivalent import Tv3
 
 T, F, U = Tv3.TRUE, Tv3.FALSE, Tv3.UNDET

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 
 from sapta import MAX_TRIALS, scenarios
 from sapta.errors import BadCuts
+from sapta.evaluation import evaluate
 from sapta.predication import PredicationTag, classify, schema_formula_for
 from sapta.scenarios import (
     CORPUS_ORDER,
@@ -23,7 +24,6 @@ from sapta.scenarios import (
     scenario_threshold,
     scenario_wigner,
 )
-from sapta.semantics import evaluate
 from sapta.trivalent import Tv3
 
 T, F, U = Tv3.TRUE, Tv3.FALSE, Tv3.UNDET

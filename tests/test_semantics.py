@@ -5,6 +5,7 @@ import json
 import pytest
 
 from sapta.errors import ModelError, NotASchema, UnboundVariable, UndeclaredName
+from sapta.evaluation import check_incompatibility, evaluate, guard_of
 from sapta.formulas import (
     And,
     ContextGuard,
@@ -19,7 +20,7 @@ from sapta.formulas import (
     undet_name,
 )
 from sapta.parser import parse
-from sapta.semantics import ContextDef, Model, check_incompatibility, evaluate, guard_of
+from sapta.semantics import ContextDef, Model
 from sapta.trivalent import Tv3
 from sapta.trivalent import conj3, disj3, iff3, impl3, neg3
 
