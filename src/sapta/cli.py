@@ -76,6 +76,17 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    # argparse drops a failed write of its help; to stdout, it fails the run
+    # as any other failed write there does.
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            try:
+                file.write(message)
+            except OSError as exc:
+                raise _OutputError(exc.errno, exc.strerror) from None
+        else:
+            super()._print_message(message, file)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="sapta", description=__doc__.split("\n")[0])
@@ -310,16 +321,20 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _read_json(path: str):
+def _read_json(path: str, keep: list):
     text = _read(path)
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except RecursionError:  # the decoder recurses once per nested array or object
         raise ModelError(f"{path}: JSON nested too deeply") from None
+    keep.append(data)
+    return data
 
 
-def _load_model(path: str):
-    return Model.from_json(_read_json(path))
+def _load_model(path: str, keep: list):
+    model = Model.from_json(_read_json(path, keep))
+    keep.append(model)
+    return model
 
 
 def _model_metadata(model) -> dict:
@@ -341,11 +356,13 @@ def _class_text(cls) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands.  Each appends to `keep` what it decoded or built and still holds
+# when it returns, so that the caller decides when that is freed (see _run).
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args, keep: list) -> int:
     entries = []
+    keep.append(entries)
     for path in args.paths:
         for nf in parse_formula_file(_read(path)):
             entries.append(
@@ -366,9 +383,10 @@ def _cmd_parse(args) -> int:
     return EX_OK
 
 
-def _cmd_eval(args) -> int:
-    model = _load_model(args.model)
+def _cmd_eval(args, keep: list) -> int:
+    model = _load_model(args.model, keep)
     results = []
+    keep.append(results)
     for path in args.paths:
         for nf in parse_formula_file(_read(path), require_closed=True):
             value = evaluate(nf.formula, model, incompat_mode=args.incompat)
@@ -392,14 +410,15 @@ def _cmd_eval(args) -> int:
     return EX_OK
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, keep: list) -> int:
     from . import schema_formula_for
 
     path = args.judgments_path or args.judgments
     if path is None or (args.judgments_path and args.judgments):
         raise SaptaError("give the judgment file either positionally or via --judgments")
-    model = _load_model(args.model)
-    judgments = judgments_from_json(_read_json(path))
+    model = _load_model(args.model, keep)
+    judgments = judgments_from_json(_read_json(path, keep))
+    keep.append(judgments)
     predicate = args.predicate
     if predicate is None:
         names = sorted({j.predicate for j in judgments})
@@ -440,8 +459,9 @@ def _build_scenario(args):
     return scenario_threshold(args.levels, args.lower_cut, args.upper_cut)
 
 
-def _cmd_scenario(args) -> int:
+def _cmd_scenario(args, keep: list) -> int:
     report = _build_scenario(args)
+    keep.append(report)
     if args.format == "json":
         out = report.to_json()
         out["metadata"] = {"seed": args.seed}
@@ -456,10 +476,11 @@ def _cmd_scenario(args) -> int:
     return EX_OK
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args, keep: list) -> int:
     from .scenarios import CORPUS_ORDER
 
     results = run_corpus(args.seed)
+    keep.append(results)
     ok = all(r.match for r in results)
     if args.format == "json":
         _emit_json(
@@ -480,8 +501,9 @@ def _cmd_corpus(args) -> int:
     return EX_OK if ok else EX_MISMATCH
 
 
-def _cmd_exclusivity(args) -> int:
+def _cmd_exclusivity(args, keep: list) -> int:
     rows = mutual_exclusivity_certificate()
+    keep.append(rows)
     distinct = sum(1 for r in rows if r.verdict == "distinct")
     if args.format == "json":
         _emit_json(
@@ -519,6 +541,12 @@ def _error_payload(exc: Exception) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    return _run(argv, [])
+
+
+def _run(argv: list[str] | None, keep: list) -> int:
+    """Run one command line; what the command still holds when it returns
+    is appended to ``keep``, and lives as long as the caller holds that."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
@@ -536,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
         _warn(f"usage error: {exc}")
         return EX_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, keep)
     except _OutputError:
         raise  # stdout failed: no error report can be written to it
     # ModuleNotFoundError: numpy is missing and `scenario cat --trials` needs it.
@@ -550,7 +578,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """Run ``main()`` as the ``sapta`` process and end the process.
+    """Run the command line in ``sys.argv`` as the ``sapta`` process and end
+    the process.
+
+    numpy's OpenBLAS, which only ``scenario cat --open --trials`` loads,
+    runs on one thread unless the user has set ``OPENBLAS_NUM_THREADS``:
+    otherwise it starts a spinning helper thread per extra core, which costs
+    CPU time and no wall time for the few operations sapta asks of it.
 
     The cyclic collector is off for the whole run.  One command's cyclic
     garbage is a few hundred objects whatever the input size (mostly the
@@ -565,16 +599,20 @@ def entry() -> None:
     flush of any other stream.  A failed write or flush of stdout (a reader
     that closed it, as ``sapta parse f | head`` does, or a full disk) ends
     the run with exit 1 and one stderr line, none for a closed pipe; stdout
-    is never written again.
+    is never written again.  Nothing the command decoded or built is freed
+    before that: ``keep`` holds it until ``os._exit``, which frees it all at
+    once with the process, where ``main()`` frees it when it returns.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     code = EX_ERROR
+    keep: list = []
     if sys.stdout is None:  # started with stdout closed: no result can be written
         _warn("error: standard output is closed")
     else:
         try:
             try:
-                code = main()
+                code = _run(None, keep)
             except SystemExit as exc:  # --help, which argparse ends with exit 0
                 code = exc.code
             sys.stdout.flush()

@@ -157,13 +157,14 @@ def classify(judgments: Iterable[Judgment], model: Model, predicate: str) -> Pre
         positions, indices = groups.setdefault(by_context[c], ([], []))
         positions.append(i)
         indices.append(index[i])
-    k, relation = len(model.contexts), model._incompatible
+    offsets, relation = model._row_offsets, model._incompatible
     for i, (a, c) in enumerate(zip(index, names)):
         v = by_context[c]
         for w, (positions, indices) in groups.items():
             if w is v:
                 continue
-            keys = [a * k + b if a < b else b * k + a for b in indices[bisect_right(positions, i):]]
+            keys = [offsets[a] + b if a < b else offsets[b] + a
+                    for b in indices[bisect_right(positions, i):]]
             if not relation.issuperset(keys):
                 return PredicationClass(PredicationTag.INCONSISTENT, (c,))
 

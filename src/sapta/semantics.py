@@ -126,9 +126,11 @@ class Model:
         self.background = background
 
         # One pass per pair: a pair whose names both resolve is well formed
-        # unless it is some other two-item iterable (a string, a dict).
+        # unless it is some other two-item iterable (a string, a dict).  The
+        # key i * K + j is read as row offset plus j, which allocates one int.
         k = len(ctx_list)
         contexts_at = self._context_index
+        self._row_offsets = offsets = [i * k for i in range(k)]
         self._incompatible: set[int] = set()
         add = self._incompatible.add
         for pair in incompatible:
@@ -140,9 +142,9 @@ class Model:
             if pair.__class__ is not list and pair.__class__ is not tuple:
                 raise _pair_fault(pair)
             if i < j:
-                add(i * k + j)
+                add(offsets[i] + j)
             elif j < i:
-                add(j * k + i)
+                add(offsets[j] + i)
             else:
                 raise ModelError(f"context {a!r} cannot be incompatible with itself")
 

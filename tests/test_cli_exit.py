@@ -3,17 +3,22 @@
 `entry()` flushes stdout, then stderr, and ends the process with
 `os._exit`, so the interpreter's teardown never runs.  These tests start
 ``python -m sapta.cli`` as a process and require that what arrives on its
-pipes, and its exit code, are what `main()` gives in-process.
+pipes, and its exit code, are what `main()` gives in-process.  What the
+command built lives until `os._exit` under `entry()`, and is freed when
+`main()` returns.
 """
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import sapta.cli as cli
+import sapta.semantics
 from sapta.cli import EX_ERROR, EX_OK, EX_USAGE, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -24,11 +29,12 @@ MODEL = str(GOLDEN / "model.json")
 ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
        "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 PIPE_BUFFER = 64 * 1024  # Linux's default pipe capacity
+HAS_DEV_FULL = os.path.exists("/dev/full")
 
 
-def run(*argv: str, env=ENV) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "sapta.cli", *argv], capture_output=True,
-                          stdin=subprocess.DEVNULL, env=env, timeout=60)
+def run(*argv: str, env=ENV, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "sapta.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, stdin=subprocess.DEVNULL, env=env, timeout=60)
 
 
 def in_process(capsys, *argv: str) -> tuple[int, bytes, bytes]:
@@ -102,3 +108,106 @@ def test_help_is_written_and_exits_0(capsys, monkeypatch, argv):
     out = capsys.readouterr().out.encode()
     proc = run(*argv, env=dict(ENV, COLUMNS="80"))
     assert (proc.returncode, proc.stdout, proc.stderr) == (EX_OK, out, b"")
+
+
+@pytest.mark.skipif(not HAS_DEV_FULL, reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["parse", "--help"]])
+def test_help_to_a_full_device_fails_with_one_stderr_line(argv):
+    # Unbuffered, argparse's own write of the help fails, not entry()'s flush.
+    with open("/dev/full", "w") as full:
+        proc = run(*argv, env=dict(ENV, PYTHONUNBUFFERED="1"), stdout=full)
+    assert proc.returncode == EX_ERROR
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(b"error: cannot write output: ")
+
+
+@pytest.fixture
+def collector():
+    """Turn the collector off, as entry() does, so that only a reference,
+    not a collection, decides what is freed; restore it after the test."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.fixture
+def built_models(monkeypatch):
+    """Weak references to every Model the CLI builds."""
+    refs = []
+    from_json = cli.Model.from_json
+
+    def recording(data):
+        model = from_json(data)
+        refs.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(cli.Model, "from_json", recording)
+    return refs
+
+
+def test_main_frees_what_the_command_built(capsys, collector, files, built_models):
+    assert main(["classify", str(files / "judgments.json"), "--model", MODEL]) == EX_OK
+    capsys.readouterr()
+    assert len(built_models) == 1
+    assert built_models[0]() is None
+
+
+def test_entry_holds_what_the_command_built_until_os_exit(capsys, collector, monkeypatch, files,
+                                                           built_models):
+    exits = []
+    monkeypatch.setattr(os, "_exit", lambda code: exits.append((code, built_models[0]())))
+    monkeypatch.setattr(sys, "argv", ["sapta", "classify", str(files / "judgments.json"),
+                                      "--model", MODEL])
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)  # entry() sets it
+    cli.entry()
+    capsys.readouterr()
+    [(code, model)] = exits
+    assert code == EX_OK
+    assert isinstance(model, sapta.semantics.Model)
+    exits.clear()
+    del model
+    assert built_models[0]() is None  # the intercepted os._exit returned, so entry() did
+
+
+# Counts the process's threads in os._exit, after everything else has run.
+COUNT_THREADS_AT_EXIT = """
+import os, sys
+from sapta.cli import entry
+exit_now = os._exit
+def counting_exit(code):
+    os.write(2, b"threads: %d\\n" % len(os.listdir("/proc/self/task")))
+    exit_now(code)
+os._exit = counting_exit
+entry()
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cat_sampling_runs_one_thread():
+    pytest.importorskip("numpy")
+    env = {k: v for k, v in ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_THREADS_AT_EXIT, "scenario", "cat", "--open", "--trials", "10"],
+        capture_output=True, stdin=subprocess.DEVNULL, env=env, timeout=60)
+    assert proc.returncode == EX_OK
+    assert proc.stderr == b"threads: 1\n"
+
+
+def test_only_entry_sets_the_blas_thread_default(capsys, collector, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(["scenario", "cat", "--open", "--trials", "10"]) == EX_OK
+    capsys.readouterr()
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    monkeypatch.setattr(cli, "_run", lambda argv, keep: EX_OK)
+    monkeypatch.setattr(os, "_exit", lambda code: None)
+    cli.entry()
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_entry_leaves_a_blas_thread_count_the_user_set(collector, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setattr(cli, "_run", lambda argv, keep: EX_OK)
+    monkeypatch.setattr(os, "_exit", lambda code: None)
+    cli.entry()
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"

@@ -26,9 +26,9 @@ def collector():
 
 def test_entry_runs_main_with_the_collector_off(collector, monkeypatch):
     # entry() ends the process through os._exit; intercepted here, so that
-    # the test process goes on.
+    # the test process goes on.  entry() runs main()'s runner, _run.
     seen, exits = [], []
-    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or EX_OK)
+    monkeypatch.setattr(cli, "_run", lambda argv, keep: seen.append(gc.isenabled()) or EX_OK)
     monkeypatch.setattr(os, "_exit", exits.append)
     gc.enable()
     cli.entry()
