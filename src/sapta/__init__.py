@@ -52,8 +52,8 @@ __all__ = list(_HOME)
 SCENARIO_NAMES = ("double_slit", "cat", "wigner", "epr", "qcc", "threshold")
 # Most intensity levels one threshold scenario takes.  Its model declares
 # every pair of levels incompatible, so memory grows with the square of the
-# level count: a `--format text` run peaks at about 22 MB RSS at 256 levels
-# and 85 MB at 1,000.
+# level count: at 256 levels a run peaks at about 18 MB RSS under `--format
+# text` and 28 MB under JSON; at 1,000, 57 and 192 MB.
 MAX_LEVELS = 256
 # Most outcomes one `scenario cat --open --trials` run samples.  Memory stays
 # constant, since the draws come in fixed-size chunks, but time grows with

@@ -146,10 +146,12 @@ def classify(judgments: Iterable[Judgment], model: Model, predicate: str) -> Pre
         return PredicationClass(PredicationTag.DEGENERATE, ())
 
     # The first compatible pair asserting different values, in lexicographic
-    # pair order, read off the model's packed relation (min * K + max).  Each
-    # context is checked against the later contexts of the other values'
-    # groups only; every check that passes uses up a distinct declared pair,
-    # so the scan costs O(K log K + |relation|).
+    # pair order.  Each context is checked once, against the later contexts
+    # of the other values' groups only.  On a set relation every lookup that
+    # passes uses up a distinct declared pair, so the scan costs
+    # O(J log J + |relation|) for J judged contexts; a byte-map relation also
+    # reads one row of K bytes a check, O(J·K), which its K·K <= 64·|relation|
+    # bounds by O(|relation|) too.
     names = sorted(by_context)
     index = [model._context_index[c] for c in names]
     groups: dict[Tv3, tuple[list[int], list[int]]] = {}  # value -> positions, context indices
@@ -157,16 +159,14 @@ def classify(judgments: Iterable[Judgment], model: Model, predicate: str) -> Pre
         positions, indices = groups.setdefault(by_context[c], ([], []))
         positions.append(i)
         indices.append(index[i])
-    offsets, relation = model._row_offsets, model._incompatible
     for i, (a, c) in enumerate(zip(index, names)):
         v = by_context[c]
+        others: list[int] = []
         for w, (positions, indices) in groups.items():
-            if w is v:
-                continue
-            keys = [offsets[a] + b if a < b else offsets[b] + a
-                    for b in indices[bisect_right(positions, i):]]
-            if not relation.issuperset(keys):
-                return PredicationClass(PredicationTag.INCONSISTENT, (c,))
+            if w is not v:
+                others += indices[bisect_right(positions, i):]
+        if others and not model._incompatible_with_all(a, others):
+            return PredicationClass(PredicationTag.INCONSISTENT, (c,))
 
     values = frozenset(by_context.values())
     witnesses = tuple(

@@ -10,6 +10,7 @@ evaluator is in ``sapta.evaluation``.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ModelError, UndeclaredName
@@ -67,8 +68,13 @@ class Model:
     N rank codes of that column, indexed by entity.  Only columns some row
     lists are stored; every other column reads one shared all-U column, so
     memory grows with the listed rows, not with the N·K·P cells declared.
-    Extensions are sets of entity indices, and the incompatibility relation
-    is a set of packed context-index pairs ``min * K + max``.
+    Extensions are sets of entity indices.  The incompatibility relation
+    keys the pair of context indices i < j as ``i * K + j``.  A dense
+    relation, one whose K·K is at most 64 times the number of declared
+    entries, is a K·K byte map holding 1 at each pair's key: at most 64
+    bytes an entry, where a set takes 81 to 98.  Any other relation is a set
+    of the keys, so a model that declares many contexts and few pairs
+    allocates nothing quadratic.
     """
 
     def __init__(
@@ -85,11 +91,12 @@ class Model:
             if not isinstance(v, Tv3):
                 raise ModelError(f"valuation of {(c, e, p)!r} is not a truth value: {v!r}")
             rows.append({"context": c, "entity": e, "predicate": p, "value": v.value})
-        self._build(domain, contexts, predicates, rows, incompatible, background)
+        self._build(domain, contexts, predicates, rows, list(incompatible), background)
 
     def _build(self, domain, contexts, predicates, rows, incompatible, background) -> None:
         """Index and check every part; ``rows`` are valuation rows in JSON
-        form, of which the last one listing a cell wins."""
+        form, of which the last one listing a cell wins, and ``incompatible``
+        is a list of context-name pairs."""
         self.domain: tuple[str, ...] = tuple(domain)
         self._entity_index = {e: i for i, e in enumerate(self.domain)}
         if len(self._entity_index) != len(self.domain):
@@ -126,27 +133,36 @@ class Model:
         self.background = background
 
         # One pass per pair: a pair whose names both resolve is well formed
-        # unless it is some other two-item iterable (a string, a dict).  The
-        # key i * K + j is read as row offset plus j, which allocates one int.
+        # unless it is not a list or tuple (a string, a dict).  The key
+        # i * K + j is read as row offset plus j, which allocates one int.
         k = len(ctx_list)
         contexts_at = self._context_index
-        self._row_offsets = offsets = [i * k for i in range(k)]
-        self._incompatible: set[int] = set()
-        add = self._incompatible.add
+        offsets = [i * k for i in range(k)]
+        if k * k <= 64 * len(incompatible):
+            relation, add = bytearray(k * k), None
+        else:
+            relation = set()
+            add = relation.add
         for pair in incompatible:
             try:
                 a, b = pair
                 i, j = contexts_at[a], contexts_at[b]
             except (KeyError, TypeError, ValueError):
                 raise _pair_fault(pair) from None
-            if pair.__class__ is not list and pair.__class__ is not tuple:
+            if (pair.__class__ is not list and pair.__class__ is not tuple
+                    and not isinstance(pair, (list, tuple))):
                 raise _pair_fault(pair)
             if i < j:
-                add(offsets[i] + j)
+                key = offsets[i] + j
             elif j < i:
-                add(offsets[j] + i)
+                key = offsets[j] + i
             else:
                 raise ModelError(f"context {a!r} cannot be incompatible with itself")
+            if add is None:
+                relation[key] = 1
+            else:
+                add(key)
+        self._relation: bytes | set[int] = bytes(relation) if add is None else relation
 
         # Each row is coded straight into its column; which check a row fails
         # is worked out only once one has.
@@ -199,7 +215,20 @@ class Model:
         Every context is compatible with itself.
         """
         i, j = sorted(_declared(self._context_index, c, "context") for c in (c1, c2))
-        return i != j and i * len(self.contexts) + j in self._incompatible
+        key, relation = i * len(self.contexts) + j, self._relation
+        return i != j and (relation[key] == 1 if relation.__class__ is bytes else key in relation)
+
+    def _incompatible_with_all(self, a: int, others: list[int]) -> bool:
+        """Whether the context at index ``a`` is incompatible with every
+        context at the indices ``others``; ``a`` is compatible with itself."""
+        relation, k = self._relation, len(self.contexts)
+        if relation.__class__ is bytes:
+            # Row a: the keys b * K + a of the contexts b < a, a zero for a
+            # itself, then the keys a * K + b of the contexts b > a.
+            row = relation[a:a * k:k] + b"\0" + relation[a * k + a + 1:(a + 1) * k]
+            return all(map(row.__getitem__, others))
+        ak = a * k
+        return relation.issuperset([ak + b if a < b else b * k + a for b in others])
 
     # -- serialization --------------------------------------------------------
 
@@ -260,7 +289,8 @@ class Model:
                     valuation.append(
                         {"context": c, "entity": e, "predicate": p, "value": _CHAIN[code].value}
                     )
-        names, k = list(self.contexts), len(self.contexts)
+        names, k, relation = list(self.contexts), len(self.contexts), self._relation
+        keys = compress(range(k * k), relation) if relation.__class__ is bytes else relation
         return {
             "domain": list(self.domain),
             "background": self.background,
@@ -271,7 +301,7 @@ class Model:
             "predicates": list(self.predicates),
             "valuation": valuation,
             "incompatible": sorted(
-                sorted((names[key // k], names[key % k])) for key in self._incompatible
+                sorted((names[key // k], names[key % k])) for key in keys
             ),
         }
 

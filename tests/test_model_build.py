@@ -7,6 +7,8 @@ of unordered pairs.  It shares no code with sapta's semantics.
 import copy
 import json
 import tracemalloc
+from collections import namedtuple
+from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
@@ -158,15 +160,25 @@ FAULTS = [
 ]
 
 
+# BASE stores its relation as a byte map.  SPARSE_BASE is the same model with
+# enough pair-free contexts that K·K > 64 entries even with one bad entry
+# added, so it stores a set.
+SPARSE_BASE = copy.deepcopy(BASE)
+SPARSE_BASE["contexts"] += [{"name": f"x{i}"} for i in range(14)]
+assert len(BASE["contexts"]) ** 2 <= 64 * len(BASE["incompatible"])
+assert len(SPARSE_BASE["contexts"]) ** 2 > 64 * (len(SPARSE_BASE["incompatible"]) + 1)
+
+
 @pytest.mark.parametrize("at_end", [False, True])
 @pytest.mark.parametrize("field, bad, message", FAULTS)
 def test_single_fault_message(field, bad, message, at_end):
-    data = copy.deepcopy(BASE)
-    Model.from_json(copy.deepcopy(data))
-    data[field].insert(len(data[field]) if at_end else 0, bad)
-    with pytest.raises(ModelError) as info:
-        Model.from_json(data)
-    assert str(info.value) == message
+    for base in (BASE, SPARSE_BASE):
+        data = copy.deepcopy(base)
+        Model.from_json(copy.deepcopy(data))
+        data[field].insert(len(data[field]) if at_end else 0, bad)
+        with pytest.raises(ModelError) as info:
+            Model.from_json(data)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("data", [[], "model", None])
@@ -190,6 +202,127 @@ def test_two_letter_string_is_not_a_pair_of_one_letter_contexts():
             "predicates": ["p"], "incompatible": ["ab"]}
     with pytest.raises(ModelError, match="incompatible entry must be a pair of context names, got 'ab'"):
         Model.from_json(data)
+
+
+Pair = namedtuple("Pair", "first second")
+
+
+class PairList(list):
+    pass
+
+
+@pytest.mark.parametrize("make", [Pair, lambda a, b: PairList([a, b])], ids=["namedtuple", "list"])
+def test_a_pair_may_be_a_tuple_or_list_subclass(make):
+    contexts = [ContextDef(c) for c in ("a", "b", "c")]
+    plain = Model([], contexts, ["p"], incompatible=[("b", "a")], background="a")
+    built = Model([], contexts, ["p"], incompatible=[make("b", "a")], background="a")
+    assert built.to_json() == plain.to_json()
+    assert built.incompatible("a", "b")
+
+
+# -- both relation stores -------------------------------------------------------------
+
+
+@st.composite
+def relations(draw):
+    """(context names in declared order, incompatible pairs, judgments) on
+    either side of the byte-map rule K·K <= 64 entries: a few pairs over many
+    contexts, or most of the pairs over a few contexts."""
+    if draw(st.booleans()):
+        names = draw(st.permutations([f"c{i}" for i in range(draw(st.integers(20, 60)))]))
+        pairs = draw(st.lists(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True),
+                              max_size=5))
+        assert len(names) ** 2 > 64 * len(pairs)
+    else:
+        names = draw(st.permutations([f"c{i}" for i in range(draw(st.integers(2, 8)))]))
+        every = list(combinations(names, 2))
+        dropped = draw(st.sets(st.sampled_from(every), max_size=(len(every) - 1) // 2))
+        pairs = [list(pair)[::draw(st.sampled_from((1, -1)))] for pair in every if pair not in dropped]
+        assert len(names) ** 2 <= 64 * len(pairs)
+    judged = sorted({c for pair in pairs for c in pair}) + draw(
+        st.lists(st.sampled_from(names), min_size=1, max_size=3))
+    judgments = draw(st.lists(st.builds(Judgment, st.sampled_from(judged), st.sampled_from("pq"),
+                                        st.sampled_from(Tv3)), max_size=12))
+    return names, pairs, judgments
+
+
+_TAGS = {frozenset(values): f"P{k}" for k, values in
+         enumerate(("T", "F", "U", "TF", "TU", "FU", "TFU"), 1)}
+
+
+def classify_oracle(judgments, related, predicate):
+    """(class, contexts) of a judgment set, with the relation a set of frozensets."""
+    by_context = {}
+    for j in judgments:
+        if j.predicate == predicate and by_context.setdefault(j.context, j.value) is not j.value:
+            return "Inconsistent", [j.context]
+    if not by_context:
+        return "Degenerate", []
+    for a, b in combinations(sorted(by_context), 2):
+        if by_context[a] is not by_context[b] and frozenset((a, b)) not in related:
+            return "Inconsistent", [a]
+    values = {v.value for v in by_context.values()}
+    return _TAGS[frozenset(values)], [min(c for c, v in by_context.items() if v.value == value)
+                                       for value in "TFU" if value in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_both_relation_stores_match_a_set_of_pairs(drawn):
+    names, pairs, judgments = drawn
+    related = {frozenset(pair) for pair in pairs}
+    model = Model.from_json({"domain": ["e"], "background": names[0], "predicates": ["p", "q"],
+                             "contexts": [{"name": c} for c in names], "incompatible": pairs})
+    assert model.to_json()["incompatible"] == sorted(sorted(pair) for pair in related)
+    for a in names:
+        for b in names:
+            assert model.incompatible(a, b) == (frozenset((a, b)) in related)
+    for predicate in "pq":
+        result = classify(judgments, model, predicate)
+        assert [result.tag.value, list(result.contexts_used)] == list(
+            classify_oracle(judgments, related, predicate))
+
+
+def _traced_build(data):
+    """(model, bytes retained, peak bytes) of building a model from `data`."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        model = Model.from_json(data)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return model, retained - before, peak - before
+
+
+def test_dense_relation_takes_a_byte_a_context_pair():
+    # All K(K-1)/2 = 179,700 pairs of 600 contexts: a set of the packed
+    # pairs retained 14.6 MB, the K·K byte map takes 0.36 MB.
+    names = [f"k{i:03d}" for i in range(600)]
+    data = json.loads(json.dumps({
+        "domain": ["e"], "background": "k000", "predicates": ["p"],
+        "contexts": [{"name": c, "extension": ["e"]} for c in names],
+        "incompatible": list(combinations(names, 2)),
+    }))
+    model, retained, _ = _traced_build(data)
+    assert model.incompatible("k599", "k000")
+    assert retained < 2_000_000
+
+
+def test_many_contexts_and_one_pair_allocate_nothing_quadratic():
+    # A byte map over 20,000 contexts would take 400 MB.
+    def model(pairs):
+        return json.dumps({
+            "domain": ["e"], "background": "c0", "predicates": ["p"],
+            "contexts": [{"name": f"c{i}"} for i in range(20_000)], "incompatible": pairs,
+        })
+
+    text = model([["c19999", "c0"]])
+    one, _, one_peak = _traced_build(json.loads(text))
+    _, _, none_peak = _traced_build(json.loads(model([])))
+    assert one.incompatible("c0", "c19999")
+    assert one_peak - none_peak < 1_000_000
+    assert one_peak < 50 * len(text)
 
 
 # -- one row writer behind both constructors ------------------------------------------
@@ -253,14 +386,8 @@ def test_building_columns_holds_no_second_copy_of_them():
         "valuation": [{"context": f"c{c}", "entity": f"e{c * p + q}", "predicate": f"p{q}",
                        "value": "TFU"[q % 3]} for c in range(k) for q in range(p)],
     }))
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        model = Model.from_json(data)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    model, retained, peak = _traced_build(data)
     assert model.defaulted_valuations == n * k * p - k * p
     assert model.value("c49", "e1999", "p39") is Tv3.TRUE  # "TFU"[39 % 3]
-    assert retained - before > n * k * p
-    assert peak - before <= 1.1 * (retained - before)
+    assert retained > n * k * p
+    assert peak <= 1.1 * retained
