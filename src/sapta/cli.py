@@ -313,12 +313,14 @@ def _emit_json(obj) -> None:
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of a file, or of stdin for "-", with its line endings
+    as they are, so that a span's offset counts the bytes of the file."""
     if path == "-":
         if sys.stdin is None:  # started with stdin closed
             raise SaptaError("standard input is closed")
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return sys.stdin.buffer.read().decode("utf-8")
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
 
 
 def _read_json(path: str, keep: list):

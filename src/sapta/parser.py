@@ -29,10 +29,10 @@ from .formulas import (
     Formula,
     Not,
     PredicateApp,
-    Record,
     SourceSpan,
     _free_atoms,
 )
+from .records import Record
 
 __all__ = ["parse", "parse_formula_file", "NamedFormula", "tokenize", "Tokens", "Token"]
 
@@ -340,12 +340,19 @@ def parse_formula_file(
 ) -> list[NamedFormula]:
     """Parse a formula file: one formula per line, or ``let NAME = formula``.
 
-    Blank lines and comment-only lines are skipped.  Spans are file-relative.
+    Blank lines and comment-only lines are skipped.  A line ends at CR LF,
+    CR or LF.  Spans are file-relative: an offset counts the UTF-8 bytes of
+    `text`, line endings as written.
     """
     names = frozenset(contexts)
     entries: list[NamedFormula] = []
     byte_base = 0
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    if "\r" in text:  # each line, then the ending the split keeps
+        parts = re.split(r"(\r\n?|\n)", text)
+        lines = zip(parts[::2], [*parts[1::2], ""])
+    else:  # the common case: `str.split` takes an eighth of the time
+        lines = zip(text.split("\n"), repeat("\n"))
+    for lineno, (raw, end) in enumerate(lines, start=1):
         code = raw.split("#", 1)[0]
         if code.strip():
             m = _LET.match(code)
@@ -365,5 +372,5 @@ def parse_formula_file(
             )
             f = _parse_tokens(tokens, names, require_closed)
             entries.append(NamedFormula(name, f, lineno))
-        byte_base += len(raw.encode("utf-8")) + 1  # '\n'
+        byte_base += len(raw.encode("utf-8")) + len(end)
     return entries

@@ -10,15 +10,17 @@ contexts or predicates, which is what blocks explosion.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from enum import Enum
 from itertools import combinations
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ModelError
-from .formulas import PREDICATIONS, Formula, Record, schema, undet_name
+from .records import PREDICATIONS, Record, undet_name
 from .semantics import ContextDef, Model, _array, _declared, _object
 from .trivalent import Tv3
+
+if TYPE_CHECKING:
+    from .formulas import Formula
 
 __all__ = [
     "Judgment",
@@ -145,28 +147,27 @@ def classify(judgments: Iterable[Judgment], model: Model, predicate: str) -> Pre
     if not by_context:
         return PredicationClass(PredicationTag.DEGENERATE, ())
 
-    # The first compatible pair asserting different values, in lexicographic
-    # pair order.  Each context is checked once, against the later contexts
-    # of the other values' groups only.  On a set relation every lookup that
-    # passes uses up a distinct declared pair, so the scan costs
-    # O(J log J + |relation|) for J judged contexts; a byte-map relation also
-    # reads one row of K bytes a check, O(J·K), which its K·K <= 64·|relation|
-    # bounds by O(|relation|) too.
+    # The first context, in name order, with a compatible partner that asserts
+    # another value.  Its partner comes later in name order, or the partner
+    # would come first, so each context is checked once against every context
+    # of the other values.  On a set relation every lookup that passes uses up
+    # a declared pair, each pair at most twice, so the scan costs
+    # O(J log J + |relation|) for J judged contexts; on a byte-map relation a
+    # check is one AND of the context's row of K bytes with a mask of the
+    # other values' contexts, O(J·K), which its K·K <= 64·|relation| bounds
+    # by O(|relation|) too.
     names = sorted(by_context)
-    index = [model._context_index[c] for c in names]
-    groups: dict[Tv3, tuple[list[int], list[int]]] = {}  # value -> positions, context indices
-    for i, c in enumerate(names):
-        positions, indices = groups.setdefault(by_context[c], ([], []))
-        positions.append(i)
-        indices.append(index[i])
-    for i, (a, c) in enumerate(zip(index, names)):
-        v = by_context[c]
-        others: list[int] = []
-        for w, (positions, indices) in groups.items():
-            if w is not v:
-                others += indices[bisect_right(positions, i):]
-        if others and not model._incompatible_with_all(a, others):
-            return PredicationClass(PredicationTag.INCONSISTENT, (c,))
+    groups: dict[Tv3, list[int]] = {}  # value -> indices of the contexts asserting it
+    for c in names:
+        groups.setdefault(by_context[c], []).append(model._context_index[c])
+    if len(groups) > 1:
+        tests = {
+            v: model._incompatible_with_each([b for w, bs in groups.items() if w is not v for b in bs])
+            for v in groups
+        }
+        for c in names:
+            if not tests[by_context[c]](model._context_index[c]):
+                return PredicationClass(PredicationTag.INCONSISTENT, (c,))
 
     values = frozenset(by_context.values())
     witnesses = tuple(
@@ -182,6 +183,8 @@ def schema_formula_for(cls: PredicationClass, predicate: str) -> Formula | None:
     k = cls.schema_index
     if k is None:
         return None
+    from .formulas import schema  # only a P1..P7 verdict builds a formula
+
     return schema(k, cls.contexts_used, predicate)
 
 

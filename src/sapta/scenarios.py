@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from . import MAX_LEVELS, MAX_TRIALS, SCENARIO_NAMES
 from .errors import BadCuts
-from .formulas import Record
+from .records import Record
 from .predication import (
     Judgment,
     PredicationClass,

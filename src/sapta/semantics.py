@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import ModelError, UndeclaredName
-from .formulas import Formula, Record
+from .records import Record
 # Truth values are coded by their rank on the chain F < U < T.
 from .trivalent import _CHAIN, _RANK, Tv3
+
+if TYPE_CHECKING:
+    from .formulas import Formula
 
 __all__ = [
     "ContextDef",
@@ -218,17 +221,32 @@ class Model:
         key, relation = i * len(self.contexts) + j, self._relation
         return i != j and (relation[key] == 1 if relation.__class__ is bytes else key in relation)
 
-    def _incompatible_with_all(self, a: int, others: list[int]) -> bool:
-        """Whether the context at index ``a`` is incompatible with every
-        context at the indices ``others``; ``a`` is compatible with itself."""
+    def _incompatible_with_each(self, others: list[int]):
+        """A test of whether the context at an index is incompatible with
+        every context at the indices ``others``, which do not include it.
+
+        On a byte map, ``others`` becomes one K-byte mask holding 1 at each
+        of them, and a context passes when its row of the map, read as an
+        int, has every bit of the mask set: one AND of K bytes a test.  On
+        a set, the test looks up the key of each pair.
+        """
         relation, k = self._relation, len(self.contexts)
         if relation.__class__ is bytes:
-            # Row a: the keys b * K + a of the contexts b < a, a zero for a
-            # itself, then the keys a * K + b of the contexts b > a.
-            row = relation[a:a * k:k] + b"\0" + relation[a * k + a + 1:(a + 1) * k]
-            return all(map(row.__getitem__, others))
-        ak = a * k
-        return relation.issuperset([ak + b if a < b else b * k + a for b in others])
+            marks = bytearray(k)
+            for b in others:
+                marks[b] = 1
+            mask = int.from_bytes(marks, "little")
+
+            def test(a: int) -> bool:
+                # Row a: the keys b * K + a of the contexts b < a, a zero for
+                # a itself, then the keys a * K + b of the contexts b > a.
+                row = relation[a:a * k:k] + b"\0" + relation[a * k + a + 1:(a + 1) * k]
+                return int.from_bytes(row, "little") & mask == mask
+        else:
+            def test(a: int) -> bool:
+                ak = a * k
+                return relation.issuperset([ak + b if a < b else b * k + a for b in others])
+        return test
 
     # -- serialization --------------------------------------------------------
 

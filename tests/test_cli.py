@@ -1,4 +1,5 @@
 """CLI behaviour: exit codes, JSON-on-every-path, determinism."""
+import io
 import json
 import os
 import subprocess
@@ -168,6 +169,40 @@ def test_eval_error_names_the_atom_at_fault(capsys, tmp_path, cat_files, fmt, te
         assert json.loads(out)["error"] == {"kind": kind, "message": message, "span": span}
     else:
         assert out == ""
+
+
+# Each file holds one error: the command, its lines, the text at fault, and
+# the error's line and column.  A non-ASCII line before it makes characters
+# and bytes differ.
+_LINE_ENDING_ERRORS = {
+    "parse": (["alive(x)", "# ∀ stands for forall", "let s = ∀x. alive(x)", "alive(x) & $"],
+              "$", 4, 12),
+    "eval": (["forall x. alive(x)", "", "let s = ∀x. box_open(x)  # ∀", "let t = alive(y)"],
+             "alive(y)", 4, 9),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("command", _LINE_ENDING_ERRORS)
+def test_error_offsets_count_the_bytes_of_the_file(capsys, monkeypatch, tmp_path, cat_files,
+                                                   command, newline, source):
+    lines, at_fault, line, column = _LINE_ENDING_ERRORS[command]
+    data = (newline.join(lines) + newline).encode("utf-8")
+    path = tmp_path / "f.lgc"
+    path.write_bytes(data)
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    argv = [command, str(path) if source == "file" else "-"]
+    if command == "eval":
+        argv += ["--model", str(cat_files[0])]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EX_ERROR
+    start = data.index(at_fault.encode("utf-8"))
+    assert json.loads(out)["error"]["span"] == {
+        "start": start, "end": start + len(at_fault), "line": line, "column": column
+    }
+    assert err.startswith(f"{line}:{column}: error: ")
 
 
 def test_parse_dumps_ast(capsys, tmp_path):
@@ -456,31 +491,38 @@ def test_an_unknown_single_dash_option_is_still_a_usage_error(capsys):
 
 def test_eval_stdin(capsys, monkeypatch, tmp_path, cat_files):
     model, _ = cat_files
-    monkeypatch.setattr("sys.stdin", _FakeStdin("forall x. (box_open(x) -> alive(x))\n"))
+    stdin = io.TextIOWrapper(io.BytesIO(b"forall x. (box_open(x) -> alive(x))\n"))
+    monkeypatch.setattr("sys.stdin", stdin)
     code, out, _ = run_cli(capsys, "eval", "-", "--model", str(model))
     assert code == EX_OK
     assert json.loads(out)["results"][0]["value"] == "T"
-
-
-class _FakeStdin:
-    def __init__(self, text):
-        self._text = text
-
-    def read(self):
-        return self._text
 
 
 def _child_env():
     return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
 
+def _loaded_modules(*args: str) -> set[str]:
+    """The sapta modules a child Python has loaded after running ``args``."""
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True,
+                          env=_child_env())
+    modules = set(done.stdout.split())
+    assert {"dataclasses", "numpy"}.isdisjoint(modules), args
+    return {m for m in modules if m.partition(".")[0] == "sapta"}
+
+
 def test_import_does_not_run_numpy(tmp_path, cat_files):
     # Each command imports only the modules it runs: only `scenario cat` with
-    # --trials needs numpy, no module needs dataclasses, and only `eval` loads
-    # the evaluator.
+    # --trials needs numpy, no module needs dataclasses, only `eval` loads the
+    # evaluator, and only a command that builds a formula loads `formulas`.
     model, judgments = cat_files
     formulas = tmp_path / "f.lgc"
     formulas.write_text("forall x. (box_open(x) -> alive(x))\n")
+    conflicting = tmp_path / "conflicting.json"
+    conflicting.write_text(json.dumps([
+        {"context": "box_open", "predicate": "alive", "value": "T"},
+        {"context": "box_open", "predicate": "alive", "value": "F"},
+    ]))
     code = (
         "import contextlib, io, sys\n"
         "import sapta.cli\n"
@@ -489,27 +531,26 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
         "        assert sapta.cli.main(sys.argv[1:]) == 0\n"
         "print(' '.join(sorted(sys.modules)))\n"
     )
-    never = {"dataclasses", "numpy"}
     startup = {"sapta", "sapta.cli", "sapta.errors"}
-    parsing = startup | {"sapta.formulas", "sapta.parser"}
-    modelled = startup | {"sapta.formulas", "sapta.semantics", "sapta.trivalent"}
+    based = startup | {"sapta.records"}
+    parsing = based | {"sapta.formulas", "sapta.parser"}
+    modelled = based | {"sapta.semantics", "sapta.trivalent"}
     judged = modelled | {"sapta.predication"}
     scenarios = judged | {"sapta.quantum", "sapta.scenarios"}
     cases = [
         ([], startup),
         (["parse", str(formulas)], parsing),
         (["eval", str(formulas), "--model", str(model)], modelled | parsing | {"sapta.evaluation"}),
-        (["classify", str(judgments), "--model", str(model)], judged),
+        (["classify", str(judgments), "--model", str(model)], judged | {"sapta.formulas"}),
+        (["classify", str(conflicting), "--model", str(model)], judged),
         (["exclusivity"], judged),
     ]
     cases += [(["scenario", name], scenarios) for name in SCENARIO_NAMES]
     cases += [(["scenario", "cat", "--open", "--seed", "7"], scenarios), (["corpus"], scenarios)]
     for argv, loaded in cases:
-        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                              text=True, check=True, env=_child_env())
-        modules = set(done.stdout.split())
-        assert never.isdisjoint(modules), argv
-        assert {m for m in modules if m.partition(".")[0] == "sapta"} == loaded, argv
+        assert _loaded_modules("-c", code, *argv) == loaded, argv
+    show = "import sys, sapta.records; print(' '.join(sys.modules))"
+    assert _loaded_modules("-c", show) == {"sapta", "sapta.records"}
 
 
 # Every name the package exported when its __init__ imported all submodules.
@@ -542,6 +583,10 @@ def test_package_names_still_resolve():
     assert sapta.run_corpus is scenarios.run_corpus
     assert sapta.__version__ == "0.1.0"
     assert "formulas" in dir(sapta) and sapta.formulas is formulas
+    from sapta import records  # the home of the names below, which formulas re-exports
+
+    assert formulas.Record is records.Record and formulas.PREDICATIONS is records.PREDICATIONS
+    assert sapta.undet_name is formulas.undet_name is records.undet_name
     with pytest.raises(AttributeError):
         sapta.no_such_name
 

@@ -75,6 +75,18 @@ def test_classify_contradiction_needs_incompatible_contexts():
     assert got.contexts_used == ("c1",)  # first context of the offending pair
 
 
+@pytest.mark.parametrize("padding", [0, 20], ids=["byte-map", "set"])
+def test_classify_needs_every_other_value_incompatible(padding):
+    # a is incompatible with b but not with c, which asserts b's value: a is
+    # the witness, though c, scanned later, is compatible with a as well.
+    names = ["a", "b", "c", *(f"z{i}" for i in range(padding))]
+    m = Model(["e"], [ContextDef(c, {"e"}) for c in names], ["p"],
+              incompatible=[("a", "b")], background="a")
+    assert (m._relation.__class__ is bytes) is (padding == 0)
+    got = classify([J("a", T), J("b", F), J("c", F)], m, "p")
+    assert got == PredicationClass(PredicationTag.INCONSISTENT, ("a",))
+
+
 def test_classify_three_values_is_p7():
     m = incompat_model("c1", "c2", "c3")
     got = classify([J("c1", T), J("c2", F), J("c3", U)], m, "p")
