@@ -22,7 +22,6 @@ _HOMES = {
     "formulas": (
         "And", "ContextGuard", "Exists", "ForAll", "Formula", "Iff", "Implies", "Not", "Or",
         "PredicateApp", "SourceSpan", "ast_to_dict", "free_variables", "pretty", "schema",
-        "undet_name",
     ),
     "parser": ("NamedFormula", "parse", "parse_formula_file"),
     "predication": (
@@ -35,6 +34,7 @@ _HOMES = {
         "Operator", "StateVector", "fringe_visibility", "inner_product", "tensor_product",
         "weak_value",
     ),
+    "records": ("undet_name",),
     "semantics": ("ContextDef", "Model"),
     "scenarios": (
         "CorpusResult", "ScenarioReport", "find_cat_seed", "run_corpus", "scenario_cat",

@@ -136,13 +136,10 @@ def classify(judgments: Iterable[Judgment], model: Model, predicate: str) -> Pre
     for j in judgments:
         _declared(model._context_index, j.context, "context")
 
-    relevant = [j for j in judgments if j.predicate == predicate]
     by_context: dict[str, Tv3] = {}
-    for j in relevant:
-        seen = by_context.get(j.context)
-        if seen is not None and seen is not j.value:
+    for j in judgments:
+        if j.predicate == predicate and by_context.setdefault(j.context, j.value) is not j.value:
             return PredicationClass(PredicationTag.INCONSISTENT, (j.context,))
-        by_context[j.context] = j.value
 
     if not by_context:
         return PredicationClass(PredicationTag.DEGENERATE, ())
@@ -157,25 +154,21 @@ def classify(judgments: Iterable[Judgment], model: Model, predicate: str) -> Pre
     # other values' contexts, O(J·K), which its K·K <= 64·|relation| bounds
     # by O(|relation|) too.
     names = sorted(by_context)
-    groups: dict[Tv3, list[int]] = {}  # value -> indices of the contexts asserting it
+    groups: dict[Tv3, list[str]] = {}  # value -> the contexts asserting it, in name order
     for c in names:
-        groups.setdefault(by_context[c], []).append(model._context_index[c])
+        groups.setdefault(by_context[c], []).append(c)
     if len(groups) > 1:
+        at = model._context_index
         tests = {
-            v: model._incompatible_with_each([b for w, bs in groups.items() if w is not v for b in bs])
+            v: model._incompatible_with_each([at[b] for w, bs in groups.items() if w is not v for b in bs])
             for v in groups
         }
         for c in names:
-            if not tests[by_context[c]](model._context_index[c]):
+            if not tests[by_context[c]](at[c]):
                 return PredicationClass(PredicationTag.INCONSISTENT, (c,))
 
-    values = frozenset(by_context.values())
-    witnesses = tuple(
-        min(c for c, v in by_context.items() if v is value)
-        for value in _VALUE_ORDER
-        if value in values
-    )
-    return PredicationClass(_TAG_FOR_VALUES[values], witnesses)
+    witnesses = tuple(groups[v][0] for v in _VALUE_ORDER if v in groups)
+    return PredicationClass(_TAG_FOR_VALUES[frozenset(groups)], witnesses)
 
 
 def schema_formula_for(cls: PredicationClass, predicate: str) -> Formula | None:
@@ -234,14 +227,13 @@ def entails(judgments: Iterable[Judgment], model: Model, query: Judgment) -> Ent
     settles nothing about any other context or predicate.
     """
     _declared(model._context_index, query.context, "context")
-    judgments = tuple(judgments)
+    answer = Entailment.UNDETERMINED
     for j in judgments:
         if j == query:
             return Entailment.YES
-    for j in judgments:
         if j.context == query.context and j.predicate == query.predicate and j.value is not query.value:
-            return Entailment.NO
-    return Entailment.UNDETERMINED
+            answer = Entailment.NO  # unless a later judgment matches exactly
+    return answer
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,9 @@ class Tv3(Enum):
     FALSE = "F"
     UNDET = "U"
 
+    # Members are singletons compared by identity; Enum's own hash is Python code.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

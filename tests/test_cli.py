@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict, namedtuple
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -551,6 +552,8 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
         assert _loaded_modules("-c", code, *argv) == loaded, argv
     show = "import sys, sapta.records; print(' '.join(sys.modules))"
     assert _loaded_modules("-c", show) == {"sapta", "sapta.records"}
+    show = "import sys, sapta; sapta.undet_name; print(' '.join(sys.modules))"
+    assert _loaded_modules("-c", show) == {"sapta", "sapta.records"}
 
 
 # Every name the package exported when its __init__ imported all submodules.
@@ -813,6 +816,8 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
     assert "Exception ignored" not in err
 
 
+_Pair = namedtuple("_Pair", "first second")  # a tuple subclass, encoded as a list
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
     | st.floats() | st.just(-0.0) | st.text(),
@@ -828,6 +833,8 @@ _json_values = st.recursive(
 @example({"": [], "a\x00 \"\\": {}, "é": [[{}], ()], "n": [float("nan"), float("-inf")]})
 @example([{1: 2}, {None: 1}, {1.5: "a"}, {True: 1}, {"1": 0}, {1.0: {"1": 0}}, {float("nan"): 0}])
 @example([{1: 2, "a": 3}, {True: 2, "a": 3}, {"1": 2, "a": 3}, {1.0: 2, "a": 3}])
+@example([OrderedDict([("b", [1]), ("a", OrderedDict())]), {"n": OrderedDict([(2, "x")])}])
+@example([_Pair(1, [2.5, None]), _Pair(_Pair("a", ()), {"k": _Pair(True, False)})])
 def test_encoder_matches_stock_json(value):
     want = json.dumps(value, indent=2, ensure_ascii=False)
     assert json.dumps(value, indent=2, ensure_ascii=False, cls=cli._Encoder) == want

@@ -1,6 +1,7 @@
 """Models, three-valued evaluation, incompatibility, schema destructuring."""
 import itertools
 import json
+import re
 
 import pytest
 
@@ -546,6 +547,10 @@ def test_check_incompatibility_modes():
     assert check_incompatibility(m, "left", "same2", "extensional", quantifier="forall") is F
     with pytest.raises(UndeclaredName):
         check_incompatibility(m, "left", "zz")
+    with pytest.raises(ValueError, match="mode must be 'relational' or 'extensional', got 'dense'"):
+        check_incompatibility(m, "left", "right", "dense")
+    with pytest.raises(ValueError, match="quantifier must be 'exists' or 'forall', got 'most'"):
+        check_incompatibility(m, "left", "right", "extensional", quantifier="most")
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -589,6 +594,20 @@ def test_guard_of_rejects_non_schemas():
         guard_of(ForAll("x", And(Implies(g1, p), Implies(g2, Not(p)))))
     with pytest.raises(NotASchema):
         guard_of(parse("forall x. (c(x) -> p(x) & q(x))", contexts={"c"}))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("forall x. ((c1(x) & c2(x)) -> p(x))", "implication antecedent is not a guard atom"),
+    ("forall x. ((c1(x) -> p(x)) & ~(c1(x) <-> c1(x)))",
+     "incompatibility clause must relate two distinct guard atoms"),
+    ("forall x. ((c1(x) -> p(x)) & p(x))", "unexpected conjunct: PredicateApp"),
+    ("forall x. ((c1(x) -> p(x)) & (c2(x) -> p(x)) & (c3(x) -> p(x)) & (c4(x) -> p(x)))",
+     "schemas carry 1..3 guarded implications, found 4"),
+    ("forall x. ((c1(x) -> p(x)) & (c1(x) -> ~p(x)))", "guard contexts must be distinct"),
+])
+def test_guard_of_names_what_is_malformed(text, message):
+    with pytest.raises(NotASchema, match=re.escape(message)):
+        guard_of(parse(text))
 
 
 def test_guard_of_accepts_parsed_schema_instances():
