@@ -2,9 +2,11 @@
 
 Output goes to stdout as JSON (default) or human-readable text; identical
 inputs and seed produce byte-identical output.  Under ``--format json``
-every exit path prints a JSON object, errors included.  Exit codes: 0 on
-success, 1 on syntax/model errors, 2 on a corpus expectation mismatch, 64
-on bad flags.  Set SAPTA_COLOR=0 to disable ANSI color in text output.
+every exit path prints a JSON object, errors included.  A run writes stdout
+once, after its work is done: each command returns its output, and one
+function writes it or the error object.  Exit codes: 0 on success, 1 on
+syntax/model errors or a failed write, 2 on a corpus expectation mismatch,
+64 on bad flags.  Set SAPTA_COLOR=0 to disable ANSI color in text output.
 """
 from __future__ import annotations
 
@@ -76,14 +78,11 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
-    # argparse drops a failed write of its help; to stdout, it fails the run
-    # as any other failed write there does.
+    # argparse drops a failed write of its help; to stdout, it raises the
+    # stream's OSError, as any other failed write there does.
     def _print_message(self, message, file=None):
         if message and file is not None and file is sys.stdout:
-            try:
-                file.write(message)
-            except OSError as exc:
-                raise _OutputError(exc.errno, exc.strerror) from None
+            file.write(message)
         else:
             super()._print_message(message, file)
 
@@ -199,17 +198,16 @@ scenario_threshold = _deferred("scenario_threshold")
 # Output helpers.
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("SAPTA_COLOR", "1") != "0" and sys.stdout.isatty()
-
-
 _COLORS = {"T": "\x1b[32m", "F": "\x1b[31m", "U": "\x1b[33m"}
 
 
-def _tv(text: str) -> str:
-    if _color_enabled() and text in _COLORS:
-        return f"{_COLORS[text]}{text}\x1b[0m"
-    return text
+def _painter():
+    """The function that writes a truth value's letter in this run's text
+    output: in its ANSI color when stdout is a terminal and SAPTA_COLOR is
+    not 0, plain otherwise."""
+    if os.environ.get("SAPTA_COLOR", "1") != "0" and sys.stdout.isatty():
+        return lambda text: f"{_COLORS[text]}{text}\x1b[0m" if text in _COLORS else text
+    return str
 
 
 class _Encoder(json.JSONEncoder):
@@ -287,16 +285,14 @@ class _Encoder(json.JSONEncoder):
         return "".join(chunks)
 
 
-class _OutputError(OSError):
-    """A write to stdout failed, so no error report can be written there."""
-
-
-def _say(text: str) -> None:
-    """Print one line to stdout; a failed write raises _OutputError."""
-    try:
-        print(text)
-    except OSError as exc:
-        raise _OutputError(exc.errno, exc.strerror) from None
+def _write(output) -> None:
+    """Write a run's output to stdout, once: a JSON object, or a list of text
+    lines; None or no lines writes nothing.  A failed write raises the
+    stream's OSError."""
+    if isinstance(output, dict):
+        print(json.dumps(output, indent=2, ensure_ascii=False, cls=_Encoder))
+    elif output:
+        print("\n".join(output))
 
 
 def _warn(text: str) -> None:
@@ -306,10 +302,6 @@ def _warn(text: str) -> None:
             print(text, file=sys.stderr)
     except OSError:
         pass
-
-
-def _emit_json(obj) -> None:
-    _say(json.dumps(obj, indent=2, ensure_ascii=False, cls=_Encoder))
 
 
 def _read(path: str) -> str:
@@ -358,61 +350,52 @@ def _class_text(cls) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands.  Each appends to `keep` what it decoded or built and still holds
-# when it returns, so that the caller decides when that is freed (see _run).
+# Commands.  Each returns its exit code and its output, the JSON object or
+# the lines of text, and writes nothing: _run writes the output.  Each appends
+# to `keep` what it decoded or built and still holds when it returns, so that
+# the caller decides when that is freed (see _run).
 
 
-def _cmd_parse(args, keep: list) -> int:
-    entries = []
-    keep.append(entries)
+def _label(path: str, nf) -> str:
+    return nf.name or f"{path}:{nf.line}"
+
+
+def _cmd_parse(args, keep: list) -> tuple[int, dict | list[str]]:
+    text = args.format == "text"
+    out = []
+    keep.append(out)
     for path in args.paths:
         for nf in parse_formula_file(_read(path)):
-            entries.append(
-                {
-                    "path": path,
-                    "name": nf.name,
-                    "line": nf.line,
-                    "pretty": pretty(nf.formula),
-                    "ast": ast_to_dict(nf.formula),
-                }
-            )
-    if args.format == "json":
-        _emit_json({"formulas": entries})
-    else:
-        for e in entries:
-            label = e["name"] or f"{e['path']}:{e['line']}"
-            _say(f"{label}: {e['pretty']}")
-    return EX_OK
+            if text:
+                out.append(f"{_label(path, nf)}: {pretty(nf.formula)}")
+            else:
+                out.append({"path": path, "name": nf.name, "line": nf.line,
+                            "pretty": pretty(nf.formula), "ast": ast_to_dict(nf.formula)})
+    return EX_OK, out if text else {"formulas": out}
 
 
-def _cmd_eval(args, keep: list) -> int:
+def _cmd_eval(args, keep: list) -> tuple[int, dict | list[str]]:
     model = _load_model(args.model, keep)
-    results = []
-    keep.append(results)
+    text = args.format == "text"
+    paint = _painter() if text else None
+    out = []
+    keep.append(out)
     for path in args.paths:
         for nf in parse_formula_file(_read(path), require_closed=True):
-            value = evaluate(nf.formula, model, incompat_mode=args.incompat)
-            results.append(
-                {
-                    "path": path,
-                    "name": nf.name,
-                    "line": nf.line,
-                    "pretty": pretty(nf.formula),
-                    "value": value.value,
-                }
-            )
-    if args.format == "json":
-        metadata = _model_metadata(model)
-        metadata["incompatibilityMode"] = args.incompat
-        _emit_json({"results": results, "metadata": metadata})
-    else:
-        for r in results:
-            label = r["name"] or f"{r['path']}:{r['line']}"
-            _say(f"{label}: {_tv(r['value'])}")
-    return EX_OK
+            value = evaluate(nf.formula, model, incompat_mode=args.incompat).value
+            if text:
+                out.append(f"{_label(path, nf)}: {paint(value)}")
+            else:
+                out.append({"path": path, "name": nf.name, "line": nf.line,
+                            "pretty": pretty(nf.formula), "value": value})
+    if text:
+        return EX_OK, out
+    metadata = _model_metadata(model)
+    metadata["incompatibilityMode"] = args.incompat
+    return EX_OK, {"results": out, "metadata": metadata}
 
 
-def _cmd_classify(args, keep: list) -> int:
+def _cmd_classify(args, keep: list) -> tuple[int, dict | list[str]]:
     from . import schema_formula_for
 
     path = args.judgments_path or args.judgments
@@ -431,18 +414,18 @@ def _cmd_classify(args, keep: list) -> int:
         predicate = names[0]
     cls = classify(judgments, model, predicate)
     formula = schema_formula_for(cls, predicate)
-    out = cls.to_json()
-    out["schemaFormula"] = pretty(formula) if formula is not None else None
-    if args.format == "json":
-        out["metadata"] = _model_metadata(model)
-        _emit_json(out)
-    else:
-        _say(_class_text(cls))
+    schema_text = pretty(formula) if formula is not None else None
+    if args.format == "text":
+        lines = [_class_text(cls)]
         if cls.contexts_used:
-            _say("contexts: " + ", ".join(cls.contexts_used))
-        if out["schemaFormula"]:
-            _say("schema: " + out["schemaFormula"])
-    return EX_OK
+            lines.append("contexts: " + ", ".join(cls.contexts_used))
+        if schema_text:
+            lines.append("schema: " + schema_text)
+        return EX_OK, lines
+    out = cls.to_json()
+    out["schemaFormula"] = schema_text
+    out["metadata"] = _model_metadata(model)
+    return EX_OK, out
 
 
 def _build_scenario(args):
@@ -461,66 +444,59 @@ def _build_scenario(args):
     return scenario_threshold(args.levels, args.lower_cut, args.upper_cut)
 
 
-def _cmd_scenario(args, keep: list) -> int:
+def _cmd_scenario(args, keep: list) -> tuple[int, dict | list[str]]:
     report = _build_scenario(args)
     keep.append(report)
     if args.format == "json":
         out = report.to_json()
         out["metadata"] = {"seed": args.seed}
-        _emit_json(out)
-    else:
-        _say(f"scenario: {report.scenario_name}")
-        for j in report.judgments:
-            _say(f"  {j.context}: {j.predicate} = {_tv(j.value.value)}")
-        _say(f"expected: {_class_text(report.expected_class)}")
-        for name, value in report.numeric_witness.items():
-            _say(f"  {name} = {value}")
-    return EX_OK
+        return EX_OK, out
+    paint = _painter()
+    return EX_OK, [
+        f"scenario: {report.scenario_name}",
+        *(f"  {j.context}: {j.predicate} = {paint(j.value.value)}" for j in report.judgments),
+        f"expected: {_class_text(report.expected_class)}",
+        *(f"  {name} = {value}" for name, value in report.numeric_witness.items()),
+    ]
 
 
-def _cmd_corpus(args, keep: list) -> int:
+def _cmd_corpus(args, keep: list) -> tuple[int, dict | list[str]]:
     from .scenarios import CORPUS_ORDER
 
     results = run_corpus(args.seed)
     keep.append(results)
     ok = all(r.match for r in results)
+    code = EX_OK if ok else EX_MISMATCH
     if args.format == "json":
-        _emit_json(
-            {
-                "results": [r.to_json() for r in results],
-                "allMatch": ok,
-                "metadata": {"seed": args.seed, "order": list(CORPUS_ORDER)},
-            }
-        )
-    else:
-        for r in results:
-            verdict = "ok" if r.match else "MISMATCH"
-            _say(
-                f"{r.name}: expected {_class_text(r.report.expected_class)}, "
-                f"classified {_class_text(r.classified)}, {verdict}"
-            )
-        _say(f"{sum(r.match for r in results)}/{len(results)} scenarios match")
-    return EX_OK if ok else EX_MISMATCH
+        return code, {
+            "results": [r.to_json() for r in results],
+            "allMatch": ok,
+            "metadata": {"seed": args.seed, "order": list(CORPUS_ORDER)},
+        }
+    return code, [
+        *(f"{r.name}: expected {_class_text(r.report.expected_class)}, "
+          f"classified {_class_text(r.classified)}, {'ok' if r.match else 'MISMATCH'}"
+          for r in results),
+        f"{sum(r.match for r in results)}/{len(results)} scenarios match",
+    ]
 
 
-def _cmd_exclusivity(args, keep: list) -> int:
+def _cmd_exclusivity(args, keep: list) -> tuple[int, dict | list[str]]:
     rows = mutual_exclusivity_certificate()
     keep.append(rows)
     distinct = sum(1 for r in rows if r.verdict == "distinct")
+    code = EX_OK if distinct == len(rows) else EX_ERROR
     if args.format == "json":
-        _emit_json(
-            {
-                "rows": [r.to_json() for r in rows],
-                "allDistinct": distinct == len(rows),
-                "distinct": distinct,
-                "total": len(rows),
-            }
-        )
-    else:
-        for r in rows:
-            _say(f"{r.first.value}/{r.second.value}: {r.verdict} ({r.reason})")
-        _say(f"{distinct}/{len(rows)} distinct")
-    return EX_OK if distinct == len(rows) else EX_ERROR
+        return code, {
+            "rows": [r.to_json() for r in rows],
+            "allDistinct": distinct == len(rows),
+            "distinct": distinct,
+            "total": len(rows),
+        }
+    return code, [
+        *(f"{r.first.value}/{r.second.value}: {r.verdict} ({r.reason})" for r in rows),
+        f"{distinct}/{len(rows)} distinct",
+    ]
 
 
 _COMMANDS = {
@@ -548,7 +524,12 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None, keep: list) -> int:
     """Run one command line; what the command still holds when it returns
-    is appended to ``keep``, and lives as long as the caller holds that."""
+    is appended to ``keep``, and lives as long as the caller holds that.
+
+    Stdout is written once, by ``_write`` after the command has returned or
+    failed, so a failed write raises the stream's own OSError past the error
+    handler; only argparse's ``--help`` writes from inside ``parse_args``.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
@@ -562,21 +543,19 @@ def _run(argv: list[str] | None, keep: list) -> int:
             elif arg == "--format" and value is not None:
                 output_format = value
         if output_format != "text":
-            _emit_json({"error": {"kind": "UsageError", "message": str(exc), "span": None}})
+            _write({"error": {"kind": "UsageError", "message": str(exc), "span": None}})
         _warn(f"usage error: {exc}")
         return EX_USAGE
     try:
-        return _COMMANDS[args.command](args, keep)
-    except _OutputError:
-        raise  # stdout failed: no error report can be written to it
+        code, output = _COMMANDS[args.command](args, keep)
     # ModuleNotFoundError: numpy is missing and `scenario cat --trials` needs it.
-    except (SaptaError, OSError, json.JSONDecodeError, ValueError, ModuleNotFoundError) as exc:
+    except (SaptaError, OSError, ValueError, ModuleNotFoundError) as exc:
         span = getattr(exc, "span", None)
         where = f"{span.line}:{span.column}: " if span is not None else ""
         _warn(f"{where}error: {exc}")
-        if args.format == "json":
-            _emit_json({"error": _error_payload(exc)})
-        return EX_ERROR
+        code, output = EX_ERROR, ({"error": _error_payload(exc)} if args.format == "json" else None)
+    _write(output)
+    return code
 
 
 def entry() -> None:
@@ -598,10 +577,12 @@ def entry() -> None:
     The process ends in one place: stdout is flushed, then stderr, then
     ``os._exit`` ends it with the exit code.  So the interpreter's teardown
     never runs: no final collections, no atexit handlers and no exit-time
-    flush of any other stream.  A failed write or flush of stdout (a reader
-    that closed it, as ``sapta parse f | head`` does, or a full disk) ends
-    the run with exit 1 and one stderr line, none for a closed pipe; stdout
-    is never written again.  Nothing the command decoded or built is freed
+    flush of any other stream.  The run writes stdout once, after the
+    command's work and its error handling are done, so a failed write or
+    flush (a reader that closed it, as ``sapta parse f | head`` does, or a
+    full disk) raises the stream's own OSError here; it ends the run with
+    exit 1 and one stderr line, none for a closed pipe, and stdout is never
+    written again.  Nothing the command decoded or built is freed
     before that: ``keep`` holds it until ``os._exit``, which frees it all at
     once with the process, where ``main()`` frees it when it returns.
     """

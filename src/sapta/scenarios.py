@@ -461,11 +461,12 @@ def scenario_threshold(
             raise ValueError(
                 f"intensity levels {named[name]!r} and {level!r} both name context {name!r}"
             )
-    judgments = tuple(Judgment(name, "perceived", band(level)) for name, level in named.items())
+    bands = [band(level) for level in named.values()]  # one per level: names are distinct
+    judgments = tuple(Judgment(name, "perceived", value) for name, value in zip(named, bands))
     witness: dict[str, float | complex] = {
-        "count_below_lower_cut": float(sum(1 for l in levels if band(l) is Tv3.FALSE)),
-        "count_between_cuts": float(sum(1 for l in levels if band(l) is Tv3.UNDET)),
-        "count_above_upper_cut": float(sum(1 for l in levels if band(l) is Tv3.TRUE)),
+        "count_below_lower_cut": float(bands.count(Tv3.FALSE)),
+        "count_between_cuts": float(bands.count(Tv3.UNDET)),
+        "count_above_upper_cut": float(bands.count(Tv3.TRUE)),
     }
     return _report("threshold", "perceived", "stimulus", judgments, witness)
 

@@ -235,6 +235,78 @@ def test_eval_text_format_labels_by_name_or_path_line(capsys, tmp_path, cat_file
     assert out == f"opened: T\n{src}:2: U\n"
 
 
+def _raising(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} runs, but text output prints nothing of it")
+    return call
+
+
+def _counting(calls, name, function):
+    def call(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+    return call
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_FORMULAS = str(GOLDEN / "closed.lgc")
+GOLDEN_MODEL = str(GOLDEN / "model.json")
+
+
+@pytest.mark.parametrize("argv, unprinted", [
+    (["parse", GOLDEN_FORMULAS], "ast_to_dict"),
+    (["eval", GOLDEN_FORMULAS, "--model", GOLDEN_MODEL], "pretty"),
+])
+def test_text_output_computes_only_what_it_prints(capsys, monkeypatch, argv, unprinted):
+    argv = [*argv, "--format", "text"]
+    want = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, unprinted, _raising(unprinted))
+    assert run_cli(capsys, *argv) == want
+    assert want[0] == EX_OK and want[1].count("\n") == 6
+
+
+@pytest.mark.parametrize("argv, wanted", [
+    (["parse", GOLDEN_FORMULAS], ["pretty", "ast_to_dict"] * 6),
+    (["eval", GOLDEN_FORMULAS, "--model", GOLDEN_MODEL], ["pretty"] * 6),
+])
+def test_json_output_calls_the_names_the_traced_replay_wraps(capsys, monkeypatch, argv, wanted):
+    calls = []
+    for name in ("pretty", "ast_to_dict"):
+        monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EX_OK
+    assert calls == wanted
+
+
+class TerminalStdout(io.StringIO):
+    """A stdout that says it is a terminal, and counts how often it is asked."""
+
+    def __init__(self):
+        super().__init__()
+        self.isatty_calls = 0
+
+    def isatty(self):
+        self.isatty_calls += 1
+        return True
+
+
+@pytest.mark.parametrize("color, painted", [("1", True), ("0", False)])
+def test_text_eval_reads_the_terminal_once_a_run(monkeypatch, color, painted):
+    monkeypatch.setenv("SAPTA_COLOR", color)
+    out = TerminalStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["eval", GOLDEN_FORMULAS, "--model", GOLDEN_MODEL, "--format", "text"]) == EX_OK
+    assert out.isatty_calls == (1 if painted else 0)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        value = line.rsplit(": ", 1)[1]
+        if painted:
+            assert value in {"\x1b[32mT\x1b[0m", "\x1b[31mF\x1b[0m", "\x1b[33mU\x1b[0m"}
+        else:
+            assert value in {"T", "F", "U"}
+
+
 def test_bad_flags_exit_64(capsys):
     code, out, err = run_cli(capsys, "scenario", "heisenberg")
     assert code == EX_USAGE
@@ -290,8 +362,6 @@ def test_corpus_is_deterministic(capsys):
     assert data["allMatch"] is True
     assert len(data["results"]) == 8
 
-
-GOLDEN = Path(__file__).parent / "golden"
 
 # argv and exit code of each child; inputs are written to its working directory.
 HASH_SEED_RUNS = {

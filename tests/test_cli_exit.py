@@ -17,6 +17,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import sapta.cli as cli
 import sapta.semantics
 from sapta.cli import EX_ERROR, EX_OK, EX_USAGE, main
@@ -46,10 +51,6 @@ def in_process(capsys, *argv: str) -> tuple[int, bytes, bytes]:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("exit")
-    (directory / "big.lgc").write_text("".join(
-        f"let f{i} = forall x. ((c(x) -> (p(x) & ~q(x))) & (d(x) -> (q(x) | ~p(x))) & ~(c(x) <-> d(x)))\n"
-        for i in range(1000)
-    ))
     (directory / "judgments.json").write_text(
         json.dumps([{"context": "c1", "predicate": "p", "value": "T"}]))
     (directory / "bad.json").write_text("{")
@@ -58,8 +59,8 @@ def files(tmp_path_factory):
 
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("fmt", ["json", "text"])
-def test_output_larger_than_the_pipe_arrives_whole(capsys, files, fmt, unbuffered):
-    argv = ["parse", str(files / "big.lgc"), "--format", fmt]
+def test_output_larger_than_the_pipe_arrives_whole(capsys, big_formulas, fmt, unbuffered):
+    argv = ["parse", big_formulas, "--format", fmt]
     code, out, _ = in_process(capsys, *argv)
     assert code == EX_OK
     assert len(out) > PIPE_BUFFER
@@ -211,3 +212,63 @@ def test_entry_leaves_a_blas_thread_count_the_user_set(collector, monkeypatch):
     monkeypatch.setattr(os, "_exit", lambda code: None)
     cli.entry()
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def _limit_address_space():
+    """Cap the child's address space at 512 MiB, as ``ulimit -v 524288``."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, hard))
+
+
+@pytest.fixture(scope="module")
+def large_models(tmp_path_factory):
+    """name -> (model, judgments, formulas) files of two models whose size
+    lies in what they declare, not in what they list."""
+    directory = tmp_path_factory.mktemp("large")
+
+    def write(name, model, judgments, formula):
+        paths = [directory / f"{name}.json", directory / f"{name}_judged.json",
+                 directory / f"{name}.lgc"]
+        paths[0].write_text(json.dumps(model))
+        paths[1].write_text(json.dumps(judgments))
+        paths[2].write_text(formula + "\n")
+        return [str(path) for path in paths]
+
+    n, k = 10_000, 316  # declares N·K·P = 10^9 cells and lists none
+    sparse = write("sparse", {
+        "domain": [f"e{i}" for i in range(n)], "background": "c0",
+        "contexts": [{"name": f"c{i}"} for i in range(k)],
+        "predicates": [f"p{i}" for i in range(k)],
+    }, [{"context": "c0", "predicate": "p0", "value": "U"}], "forall x. (c1(x) -> p1(x))")
+    k = 30_000  # 30,000 contexts and one declared pair
+    wide = write("wide", {
+        "domain": ["e"], "background": "c0",
+        "contexts": [{"name": f"c{i}", "extension": ["e"]} for i in range(k)],
+        "predicates": ["p"], "incompatible": [["c0", f"c{k - 1}"]],
+    }, [{"context": "c0", "predicate": "p", "value": "T"},
+        {"context": f"c{k - 1}", "predicate": "p", "value": "F"}], "forall x. (c1(x) -> p(x))")
+    return {"sparse": sparse, "wide": wide}
+
+
+# (model, command) -> what the command finds: the formula's value or the class
+LARGE_MODEL_RESULTS = {
+    ("sparse", "eval"): "T",  # no entity is in c1
+    ("sparse", "classify"): "P3",
+    ("wide", "eval"): "U",  # e is in c1, and p is unlisted there
+    ("wide", "classify"): "P4",
+}
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize("shape, command", LARGE_MODEL_RESULTS)
+def test_a_large_declared_model_runs_in_512_mib(large_models, shape, command):
+    model, judgments, formulas = large_models[shape]
+    argv = ([command, formulas, "--model", model] if command == "eval"
+            else [command, judgments, "--model", model])
+    proc = subprocess.run([sys.executable, "-m", "sapta.cli", *argv], capture_output=True,
+                          stdin=subprocess.DEVNULL, env=ENV, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stderr) == (EX_OK, b"")
+    out = json.loads(proc.stdout)
+    found = out["results"][0]["value"] if command == "eval" else out["class"]
+    assert found == LARGE_MODEL_RESULTS[shape, command]
