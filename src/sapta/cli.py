@@ -2,29 +2,28 @@
 
 Output goes to stdout as JSON (default) or human-readable text; identical
 inputs and seed produce byte-identical output.  Under ``--format json``
-every exit path prints a JSON object, errors included.  A run writes stdout
-once, after its work is done: each command returns its output, and one
-function writes it or the error object.  Exit codes: 0 on success, 1 on
-syntax/model errors or a failed write, 2 on a corpus expectation mismatch,
+every exit path but ``--help`` prints a JSON object, errors included.  A run
+writes stdout once, after its work is done: each command returns its output,
+and one function writes it, the error object or the help.  Exit codes: 0 on
+success, 1 on syntax/model errors or a failed write, 2 on a corpus mismatch,
 64 on bad flags.  Set SAPTA_COLOR=0 to disable ANSI color in text output.
 """
 from __future__ import annotations
 
-import argparse
 import errno
 import gc
 import json
 import os
-import re
 import sys
 from functools import lru_cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring
+from types import SimpleNamespace
 
 from . import MAX_LEVELS, MAX_TRIALS, SCENARIO_NAMES
 from .errors import ModelError, ParseError, SaptaError
 
-__all__ = ["main", "entry", "build_parser"]
+__all__ = ["main", "entry"]
 
 EX_OK = 0
 EX_ERROR = 1
@@ -36,27 +35,20 @@ class _UsageError(Exception):
     pass
 
 
-# argparse reads an argument that starts with '-' as a value, not an option,
-# when this matches it.  The stock pattern differs between Python versions and
-# misses '-1e3', '-inf' and the --levels list '-1e-3,0.5'.
-_NUMBER = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
-_NEGATIVE_NUMBERS = re.compile(rf"-{_NUMBER}(?:,[-+]?{_NUMBER})*\Z", re.IGNORECASE)
-
-
 def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise _UsageError(f"invalid int value: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+        raise _UsageError(f"invalid non-negative int value: {text!r}")
     return value
 
 
 def _trial_count(text: str) -> int:
     value = _non_negative_int(text)
     if value > MAX_TRIALS:
-        raise argparse.ArgumentTypeError(f"invalid trial count: {text!r} is above {MAX_TRIALS}")
+        raise _UsageError(f"invalid trial count: {text!r} is above {MAX_TRIALS}")
     return value
 
 
@@ -64,93 +56,118 @@ def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float list value: {text!r}") from None
+        raise _UsageError(f"invalid float list value: {text!r}") from None
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # Subparsers are built as type(self).  No flag may be abbreviated, so a
-    # usage error can read the output format off argv (see main).
-    def __init__(self, *args, allow_abbrev=False, **kwargs):
-        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBERS
+def _is_value(word: str) -> bool:
+    """Whether a word is a value, not a flag: one that starts with '-' is a
+    value only when it is '-' itself or each of its comma-separated parts
+    reads as a float, as in `--lower-cut -1e3` or `--levels -1e-3,0.5`."""
+    if word[:1] != "-" or word == "-":
+        return True
+    try:
+        for part in word.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
 
-    # argparse exits 2 on usage errors; route through EX_USAGE instead.
-    def error(self, message):
-        raise _UsageError(message)
 
-    # argparse drops a failed write of its help; to stdout, it raises the
-    # stream's OSError, as any other failed write there does.
-    def _print_message(self, message, file=None):
-        if message and file is not None and file is sys.stdout:
-            file.write(message)
+def _value(name: str, word: str, kind):
+    """`word` as the value of `name`: one of a tuple of choices, or what the function
+    `kind` makes of it; as in argparse, its ValueError is "invalid <its name> value"."""
+    if type(kind) is tuple:
+        if word not in kind:
+            raise _UsageError(f"argument {name}: invalid choice: {word!r} "
+                              f"(choose from {', '.join(map(repr, kind))})")
+        return word
+    try:
+        return kind(word)
+    except _UsageError as exc:
+        raise _UsageError(f"argument {name}: {exc}") from None
+    except ValueError:
+        raise _UsageError(f"argument {name}: invalid {kind.__name__} value: {word!r}") from None
+
+
+def _parse_args(argv: list[str]):
+    """The namespace of a command line, with `command` and a field for each
+    positional and flag of that command, or the help lines when `-h` or
+    `--help` comes first.  Raises _UsageError: at once for a bad value, after
+    the walk for an unknown flag, a surplus word or a missing argument."""
+    # The command is the first value (or `--`); before it, -h is the only flag.
+    at = next((i for i, word in enumerate(argv) if _is_value(word) or word == "--"), len(argv))
+    if "-h" in argv[:at] or "--help" in argv[:at]:
+        return _help(None)
+    if at == len(argv):
+        raise _UsageError("the following arguments are required: command")
+    command = _value("command", argv[at], tuple(_COMMANDS))
+    words, unknown = iter(argv[at + 1:]), argv[:at]
+    _, _, positional, flags = _COMMANDS[command]
+    args = {"command": command}
+    named = {}  # a flag's word -> (its field, its value's kind, what a switch sets)
+    for flag, default, kind, _ in (*flags, _FORMAT):
+        dest = flag[2:].replace("-", "_")
+        args[dest] = default
+        named[flag] = dest, kind, True
+        if default is True:
+            named["--no-" + flag[2:]] = dest, kind, False
+    name, takes, _ = positional or (None, None, None)
+    taken, ended = [], False
+    for word in words:
+        if ended or _is_value(word):
+            if takes == "+" or name and not taken:
+                taken.append(_value(name, word, takes) if type(takes) is tuple else word)
+            else:
+                unknown.append(word)
+        elif word == "--":
+            ended = True
+        elif word in ("-h", "--help"):
+            return _help(command)
+        elif word.partition("=")[0] not in named:
+            unknown.append(word)
         else:
-            super()._print_message(message, file)
+            flag, has_value, value = word.partition("=")
+            dest, kind, on = named[flag]
+            if kind is None and has_value:
+                raise _UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+            if kind is not None and not has_value:
+                value = next(words, "--")  # with no word left, as if a flag came next
+                if not _is_value(value):
+                    raise _UsageError(f"argument {flag}: expected one argument")
+            args[dest] = on if kind is None else _value(flag, value, kind)
+    if name:
+        args[name] = taken if takes == "+" else taken[0] if taken else None
+    missing = [name] if name and takes != "?" and not taken else []
+    missing += [flag for flag, (dest, *_) in named.items() if args[dest] is _REQUIRED]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    if unknown:
+        raise _UsageError("unrecognized arguments: " + " ".join(unknown))
+    return SimpleNamespace(**args)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="sapta", description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "text"), default="json", help="output format")
-
-    p_parse = sub.add_parser("parse", help="parse formula files and dump ASTs")
-    p_parse.add_argument("paths", nargs="+", help="formula files ('-' for stdin)")
-    add_format(p_parse)
-
-    p_eval = sub.add_parser("eval", help="evaluate formulas over a model")
-    p_eval.add_argument("paths", nargs="+", help="formula files ('-' for stdin)")
-    p_eval.add_argument("--model", required=True, help="model JSON file")
-    p_eval.add_argument(
-        "--incompat",
-        choices=("relational", "extensional"),
-        default="relational",
-        help="reading of guard-incompatibility clauses",
-    )
-    add_format(p_eval)
-
-    p_classify = sub.add_parser("classify", help="classify a judgment set")
-    p_classify.add_argument(
-        "judgments_path", nargs="?", help="judgment set JSON file ('-' for stdin)"
-    )
-    p_classify.add_argument("--judgments", help="judgment set JSON file (alternative spelling)")
-    p_classify.add_argument("--model", required=True, help="model JSON file")
-    p_classify.add_argument("--predicate", help="predicate to classify (inferred when unique)")
-    add_format(p_classify)
-
-    p_scenario = sub.add_parser("scenario", help="run one built-in scenario")
-    p_scenario.add_argument("name", choices=SCENARIO_NAMES)
-    p_scenario.add_argument("--seed", type=_non_negative_int, default=0, help="non-negative sampling seed")
-    p_scenario.add_argument("--open", action="store_true", help="cat: open the box")
-    p_scenario.add_argument(
-        "--trials", type=_trial_count, help=f"cat: sample this many outcomes, at most {MAX_TRIALS}"
-    )
-    p_scenario.add_argument(
-        "--perspective", choices=("friend", "wigner", "combined"), default="combined"
-    )
-    p_scenario.add_argument("--friend-outcome", choices=("up", "down"), default="up")
-    p_scenario.add_argument("--basis", choices=("zero_one", "plus_minus"), default="zero_one")
-    p_scenario.add_argument(
-        "--levels", type=_float_list, default="0.1,0.5,0.9",
-        help=f"threshold: comma-separated intensities, at most {MAX_LEVELS}",
-    )
-    p_scenario.add_argument("--lower-cut", type=float, default=0.3)
-    p_scenario.add_argument("--upper-cut", type=float, default=0.7)
-    for flag in ("one-slit-observed", "one-slit-unobserved", "two-slits-unobserved"):
-        p_scenario.add_argument(
-            f"--{flag}", action=argparse.BooleanOptionalAction, default=True,
-            help="double_slit: include this context",
-        )
-    add_format(p_scenario)
-
-    p_corpus = sub.add_parser("corpus", help="run all scenarios against expected classes")
-    p_corpus.add_argument("--seed", type=_non_negative_int, default=0, help="non-negative sampling seed")
-    add_format(p_corpus)
-
-    p_excl = sub.add_parser("exclusivity", help="21-row mutual exclusivity certificate")
-    add_format(p_excl)
-
-    return parser
+def _help(command: str | None) -> list[str]:
+    """The help lines of `sapta --help`, or of `sapta COMMAND --help`: a row
+    for each command, or for the command's positional and each flag."""
+    if command is None:
+        usage, summary = "usage: sapta COMMAND [options]", __doc__.split("\n")[0]
+        rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
+    else:
+        _, summary, positional, flags = _COMMANDS[command]
+        usage, rows = f"usage: sapta {command} [options]", []
+        if positional:
+            name, takes, text = positional
+            shape = {"+": f"{name} [{name} ...]", "?": f"[{name}]"}.get(takes) or "{" + ",".join(takes) + "}"
+            usage += " " + shape
+            rows.append((shape, text))
+        rows.append(("-h, --help", "show this help message and exit"))
+        for flag, default, kind, text in (*flags, _FORMAT):
+            if kind is None:
+                shape = f"{flag}, --no-{flag[2:]}" if default is True else flag
+            else:
+                shape = flag + " " + ("{" + ",".join(kind) + "}" if type(kind) is tuple else flag[2:].upper())
+            rows.append((shape, text + (" (required)" if default is _REQUIRED else "")))
+    return [usage, "", summary, "", *(f"  {shape:<22}  {text}" for shape, text in rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +516,40 @@ def _cmd_exclusivity(args, keep: list) -> tuple[int, dict | list[str]]:
     ]
 
 
+# The command line: command -> (its function, its help line, its positional, its
+# flags, to which every command adds _FORMAT).  A positional is (name, "+", "?" or
+# a tuple of choices, help).  A flag is (flag, default, kind, help) and sets the
+# field named as the flag without its dashes, '_' for '-'.  Its kind is a tuple of
+# choices, a converter, or None for a switch, which sets True; a switch whose
+# default is True also has a --no- form, which sets False.
+_REQUIRED = object()  # the default of a flag that must be given
+_FORMAT = ("--format", "json", ("json", "text"), "output format")
+_PATHS = ("paths", "+", "formula files ('-' for stdin)")
+_MODEL = ("--model", _REQUIRED, str, "model JSON file")
+_SEED = ("--seed", 0, _non_negative_int, "non-negative sampling seed")
 _COMMANDS = {
-    "parse": _cmd_parse,
-    "eval": _cmd_eval,
-    "classify": _cmd_classify,
-    "scenario": _cmd_scenario,
-    "corpus": _cmd_corpus,
-    "exclusivity": _cmd_exclusivity,
+    "parse": (_cmd_parse, "parse formula files and dump ASTs", _PATHS, ()),
+    "eval": (_cmd_eval, "evaluate formulas over a model", _PATHS, (_MODEL, ("--incompat", "relational",
+        ("relational", "extensional"), "reading of guard-incompatibility clauses"))),
+    "classify": (_cmd_classify, "classify a judgment set",
+                 ("judgments_path", "?", "judgment set JSON file ('-' for stdin)"), (
+        ("--judgments", None, str, "judgment set JSON file (alternative spelling)"), _MODEL,
+        ("--predicate", None, str, "predicate to classify (inferred when unique)"))),
+    "scenario": (_cmd_scenario, "run one built-in scenario", ("name", SCENARIO_NAMES, "the scenario"), (
+        _SEED,
+        ("--open", False, None, "cat: open the box"),
+        ("--trials", None, _trial_count, f"cat: sample this many outcomes, at most {MAX_TRIALS}"),
+        ("--perspective", "combined", ("friend", "wigner", "combined"), "wigner: whose report"),
+        ("--friend-outcome", "up", ("up", "down"), "wigner: the spin the friend measured"),
+        ("--basis", "zero_one", ("zero_one", "plus_minus"), "epr: Alice's measurement basis"),
+        ("--levels", (0.1, 0.5, 0.9), _float_list,
+         f"threshold: comma-separated intensities, at most {MAX_LEVELS}"),
+        ("--lower-cut", 0.3, float, "threshold: an intensity below it is a no (F)"),
+        ("--upper-cut", 0.7, float, "threshold: an intensity above it is a yes (T)"),
+        *((f"--{flag}", True, None, "double_slit: include this context")
+          for flag in ("one-slit-observed", "one-slit-unobserved", "two-slits-unobserved")))),
+    "corpus": (_cmd_corpus, "run all scenarios against expected classes", None, (_SEED,)),
+    "exclusivity": (_cmd_exclusivity, "21-row mutual exclusivity certificate", None, ()),
 }
 
 
@@ -528,14 +572,13 @@ def _run(argv: list[str] | None, keep: list) -> int:
 
     Stdout is written once, by ``_write`` after the command has returned or
     failed, so a failed write raises the stream's own OSError past the error
-    handler; only argparse's ``--help`` writes from inside ``parse_args``.
+    handler.  The help of ``-h`` or ``--help`` is output like any other.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
-        # No parsed args on this path: as in argparse, the last --format counts.
+        # No parsed args on this path: the last --format counts.
         output_format = "json"
         for arg, value in zip(argv, argv[1:] + [None]):
             if arg.startswith("--format="):
@@ -546,8 +589,8 @@ def _run(argv: list[str] | None, keep: list) -> int:
             _write({"error": {"kind": "UsageError", "message": str(exc), "span": None}})
         _warn(f"usage error: {exc}")
         return EX_USAGE
-    try:
-        code, output = _COMMANDS[args.command](args, keep)
+    try:  # the help lines are the output of -h or --help
+        code, output = (EX_OK, args) if type(args) is list else _COMMANDS[args.command][0](args, keep)
     # ModuleNotFoundError: numpy is missing and `scenario cat --trials` needs it.
     except (SaptaError, OSError, ValueError, ModuleNotFoundError) as exc:
         span = getattr(exc, "span", None)
@@ -568,11 +611,10 @@ def entry() -> None:
     CPU time and no wall time for the few operations sapta asks of it.
 
     The cyclic collector is off for the whole run.  One command's cyclic
-    garbage is a few hundred objects whatever the input size (mostly the
-    argparse parser), so the process never collects it; with the collector
-    on, decoding a large model rescans every list it has made so far at each
-    collection.  ``main()`` leaves the collector as it finds it, for callers
-    that run it in-process.
+    garbage is at most a few hundred objects whatever the input size, so the
+    process never collects it; with the collector on, decoding a large model
+    rescans every list it has made so far at each collection.  ``main()``
+    leaves the collector as it finds it, for callers that run it in-process.
 
     The process ends in one place: stdout is flushed, then stderr, then
     ``os._exit`` ends it with the exit code.  So the interpreter's teardown
@@ -594,10 +636,7 @@ def entry() -> None:
         _warn("error: standard output is closed")
     else:
         try:
-            try:
-                code = _run(None, keep)
-            except SystemExit as exc:  # --help, which argparse ends with exit 0
-                code = exc.code
+            code = _run(None, keep)
             sys.stdout.flush()
         except OSError as exc:
             code = EX_ERROR

@@ -578,7 +578,7 @@ def _loaded_modules(*args: str) -> set[str]:
     done = subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True,
                           env=_child_env())
     modules = set(done.stdout.split())
-    assert {"dataclasses", "numpy"}.isdisjoint(modules), args
+    assert {"dataclasses", "numpy", "argparse", "gettext", "locale"}.isdisjoint(modules), args
     return {m for m in modules if m.partition(".")[0] == "sapta"}
 
 
@@ -586,6 +586,8 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
     # Each command imports only the modules it runs: only `scenario cat` with
     # --trials needs numpy, no module needs dataclasses, only `eval` loads the
     # evaluator, and only a command that builds a formula loads `formulas`.
+    # No run, a usage error or --help included, loads argparse, gettext or
+    # locale (see _loaded_modules).
     model, judgments = cat_files
     formulas = tmp_path / "f.lgc"
     formulas.write_text("forall x. (box_open(x) -> alive(x))\n")
@@ -597,9 +599,9 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
     code = (
         "import contextlib, io, sys\n"
         "import sapta.cli\n"
-        "if sys.argv[1:]:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert sapta.cli.main(sys.argv[1:]) == 0\n"
+        "if sys.argv[2:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert sapta.cli.main(sys.argv[2:]) == int(sys.argv[1])\n"
         "print(' '.join(sorted(sys.modules)))\n"
     )
     startup = {"sapta", "sapta.cli", "sapta.errors"}
@@ -619,7 +621,12 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
     cases += [(["scenario", name], scenarios) for name in SCENARIO_NAMES]
     cases += [(["scenario", "cat", "--open", "--seed", "7"], scenarios), (["corpus"], scenarios)]
     for argv, loaded in cases:
-        assert _loaded_modules("-c", code, *argv) == loaded, argv
+        assert _loaded_modules("-c", code, str(EX_OK), *argv) == loaded, argv
+    # Help and a usage error load nothing past the startup modules.
+    for argv, exit_code in [(["--help"], EX_OK), (["scenario", "--help"], EX_OK),
+                            (["eval", str(formulas)], EX_USAGE),
+                            (["scenario", "cat", "--seed", "-1", "--format", "text"], EX_USAGE)]:
+        assert _loaded_modules("-c", code, str(exit_code), *argv) == startup, argv
     show = "import sys, sapta.records; print(' '.join(sys.modules))"
     assert _loaded_modules("-c", show) == {"sapta", "sapta.records"}
     show = "import sys, sapta; sapta.undet_name; print(' '.join(sys.modules))"
@@ -744,7 +751,7 @@ def test_negative_trials_is_a_usage_error(capsys, flags):
 def test_trials_limit_is_checked_before_any_draw(capsys, monkeypatch):
     # Only parsed here: the limit itself would sample for seconds.
     argv = ["scenario", "cat", "--open", "--trials", str(MAX_TRIALS)]
-    assert cli.build_parser().parse_args(argv).trials == MAX_TRIALS
+    assert cli._parse_args(argv).trials == MAX_TRIALS
     monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy fails
     for flags in (["--open"], []):
         code, out, err = run_cli(capsys, "scenario", "cat", *flags, "--trials", str(MAX_TRIALS + 1))

@@ -101,20 +101,17 @@ def test_every_command_exits_as_main_returns(capsys, files, name):
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
-def test_help_is_written_and_exits_0(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    assert exit_info.value.code == EX_OK
-    out = capsys.readouterr().out.encode()
-    proc = run(*argv, env=dict(ENV, COLUMNS="80"))
+def test_help_is_written_and_exits_0(capsys, argv):
+    code, out, err = in_process(capsys, *argv)
+    assert (code, err) == (EX_OK, b"")
+    proc = run(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (EX_OK, out, b"")
 
 
 @pytest.mark.skipif(not HAS_DEV_FULL, reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [["--help"], ["parse", "--help"]])
 def test_help_to_a_full_device_fails_with_one_stderr_line(argv):
-    # Unbuffered, argparse's own write of the help fails, not entry()'s flush.
+    # Unbuffered, the help's one write in _write fails, not entry()'s flush.
     with open("/dev/full", "w") as full:
         proc = run(*argv, env=dict(ENV, PYTHONUNBUFFERED="1"), stdout=full)
     assert proc.returncode == EX_ERROR

@@ -1,10 +1,9 @@
 """Random formula text, random JSON and random flags through every subcommand.
 
 Whatever the input, `main()` returns one of the documented exit codes and,
-under ``--format json``, prints exactly one JSON object.  As for argparse,
-the last ``--format`` given sets the format, on a usage error too.
+under ``--format json``, prints exactly one JSON object.  The last
+``--format`` given sets the format, on a usage error too.
 """
-import argparse
 import contextlib
 import io
 import json
@@ -12,7 +11,7 @@ import json
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from sapta.cli import build_parser, main
+from sapta.cli import _COMMANDS, main
 
 EXIT_CODES = {0, 1, 2, 64}
 
@@ -77,7 +76,7 @@ def value(*choices):
 SWITCH = st.just([])
 
 # Each subcommand's flags, each with the words that may follow it.  Every
-# option string build_parser() declares must be here (--format is drawn for
+# flag the command-line table, cli._COMMANDS, declares must be here (--format is drawn for
 # every subcommand below); test_fuzz_draws_every_flag_the_parser_declares
 # checks that, so a new flag fails the suite until it is fuzzed.
 FLAGS = {
@@ -159,12 +158,10 @@ def invocations(draw):
 
 
 def test_fuzz_draws_every_flag_the_parser_declares():
-    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     declared = {
-        command: {option for action in parser._actions
-                  if not isinstance(action, argparse._HelpAction)  # --help ends main() by SystemExit
-                  for option in action.option_strings}
-        for command, parser in subcommands.choices.items()
+        command: {"--format", *(flag for flag, *_ in flags),
+                  *(f"--no-{flag[2:]}" for flag, default, *_ in flags if default is True)}
+        for command, (_, _, _, flags) in _COMMANDS.items()
     }
     assert declared == {command: {*flags, "--format"} for command, flags in FLAGS.items()}
 

@@ -4,9 +4,12 @@ The files under ``golden/`` hold the exact stdout of ``exclusivity``,
 ``corpus --seed 0``, thirteen ``scenario`` runs covering every branch of
 each scenario, ``parse`` of a formula file using every node class the
 parser builds, and ``eval`` of a closed formula file under both
-``--incompat`` readings (all JSON and text); and, for each of the seven
-canonical witnesses, its judgment set, its induced model and the
-``classify --format text`` output on them.  The pinned commands run in
+``--incompat`` readings (all JSON and text); ``--help`` of ``sapta`` and
+of each command; the JSON error object of each kind of usage error; and,
+for each of the seven canonical witnesses, its judgment set, its induced
+model and the ``classify --format text`` output on them.  The usage
+errors' messages are sapta's own, so they are the same on every Python
+version.  The pinned commands run in
 ``golden/`` and name their inputs by relative path, since ``parse`` and
 ``eval`` print each path as given.  The sha256 prefixes guard the pinned
 files themselves against being regenerated from changed code.
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from sapta.cli import EX_OK, main
+from sapta.cli import EX_OK, EX_USAGE, main
 from sapta.formulas import ast_to_dict, schema
 from sapta.predication import PredicationTag, canonical_witness, judgments_to_json
 
@@ -64,23 +67,54 @@ PINNED = {
     "eval_relational.txt": (["eval", "closed.lgc", "--model", "model.json", "--format", "text"], "45e4b17224f3e823"),
     "eval_extensional.json": (["eval", "closed.lgc", "--model", "model.json", "--incompat", "extensional"], "ae8012b2d2d36def"),
     "eval_extensional.txt": (["eval", "closed.lgc", "--model", "model.json", "--incompat", "extensional", "--format", "text"], "b8d2b770b54b12f6"),
+    # Help lists every flag of the command-line table, unwrapped.
+    "help.txt": (["--help"], "1699c5dc0a037c22"),
+    "help_parse.txt": (["parse", "--help"], "7f326a9b0dafa7b3"),
+    "help_eval.txt": (["eval", "--help"], "59e74baa9b4e6195"),
+    "help_classify.txt": (["classify", "--help"], "21c18f30945bd640"),
+    "help_scenario.txt": (["scenario", "--help"], "66ffd8fc4f6ab5f8"),
+    "help_corpus.txt": (["corpus", "--help"], "902205c1d56868b7"),
+    "help_exclusivity.txt": (["exclusivity", "--help"], "6ee722c5cd6bd12a"),
+}
+
+# Usage errors, which exit 64.
+USAGE_PINNED = {
+    "usage_invalid_choice.json": (["exclusivity", "--format", "xml"], "0ea55f25cf41ca80"),
+    "usage_no_value.json": (["eval", "closed.lgc", "--model"], "a9d3fa4c6db7c951"),
+    "usage_unrecognized.json": (["corpus", "--bogus"], "a6b3b29336d9bd3a"),
+    "usage_missing_model.json": (["eval", "closed.lgc"], "b0225f787ea07aa1"),
+    "usage_missing_command.json": ([], "eadf64d011d5ff2f"),
+    "usage_bad_seed.json": (["corpus", "--seed", "-1"], "7b011a63b628f495"),
+    "usage_bad_trials.json": (["scenario", "cat", "--open", "--trials", "1000000001"], "ec8c876b9648c827"),
+    "usage_bad_levels.json": (["scenario", "threshold", "--levels", "0.5,x"], "b6ec6fcd4f5a5722"),
 }
 
 WITNESSES = json.loads((GOLDEN / "canonical_witnesses.json").read_text(encoding="utf-8"))
 
 
-def stdout_bytes(capsys, argv) -> bytes:
-    assert main(list(argv)) == EX_OK
+def stdout_bytes(capsys, argv, code=EX_OK) -> bytes:
+    assert main(list(argv)) == code
     return capsys.readouterr().out.encode("utf-8")
+
+
+def _pinned(name: str, digest: str) -> bytes:
+    pinned = (GOLDEN / name).read_bytes()
+    assert hashlib.sha256(pinned).hexdigest()[:16] == digest
+    return pinned
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_output_is_byte_identical_to_pin(capsys, monkeypatch, name):
     argv, digest = PINNED[name]
     monkeypatch.chdir(GOLDEN)
-    pinned = (GOLDEN / name).read_bytes()
-    assert hashlib.sha256(pinned).hexdigest()[:16] == digest
-    assert stdout_bytes(capsys, argv) == pinned
+    assert stdout_bytes(capsys, argv) == _pinned(name, digest)
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_PINNED))
+def test_usage_error_is_byte_identical_to_pin(capsys, monkeypatch, name):
+    argv, digest = USAGE_PINNED[name]
+    monkeypatch.chdir(GOLDEN)
+    assert stdout_bytes(capsys, argv, EX_USAGE) == _pinned(name, digest)
 
 
 def _guard(context):
