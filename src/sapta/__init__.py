@@ -18,23 +18,26 @@ _HOMES = {
         "ModelError", "NotASchema", "OrthogonalSelection", "ParseError", "SaptaError",
         "UnboundVariable", "UndeclaredName",
     ),
-    "evaluation": ("check_incompatibility", "evaluate", "guard_of"),
+    "certificate": ("CertificateRow", "canonical_witness", "mutual_exclusivity_certificate"),
+    "evaluation": ("check_incompatibility", "evaluate"),
     "formulas": (
         "And", "ContextGuard", "Exists", "ForAll", "Formula", "Iff", "Implies", "Not", "Or",
-        "PredicateApp", "SourceSpan", "ast_to_dict", "free_variables", "pretty", "schema",
+        "PredicateApp", "SourceSpan", "ast_to_dict", "free_variables", "pretty",
     ),
+    "inputs": ("judgments_from_json",),
     "parser": ("NamedFormula", "parse", "parse_formula_file"),
     "predication": (
-        "CertificateRow", "Entailment", "Judgment", "PredicationClass", "PredicationTag",
-        "SANSKRIT_NAMES", "canonical_witness", "classify", "entails", "induced_model",
-        "judgments_from_json", "judgments_to_json", "mutual_exclusivity_certificate",
-        "schema_formula_for", "tag_for_values",
+        "Entailment", "Judgment", "PredicationClass", "PredicationTag", "SANSKRIT_NAMES",
+        "classify", "entails", "induced_model", "judgments_to_json", "schema_formula_for",
+        "tag_for_values",
     ),
     "quantum": (
         "Operator", "StateVector", "fringe_visibility", "inner_product", "tensor_product",
         "weak_value",
     ),
     "records": ("undet_name",),
+    "sampling": (),  # the cat scenario's draws; no public name
+    "schemas": ("guard_of", "schema"),
     "semantics": ("ContextDef", "Model"),
     "scenarios": (
         "CorpusResult", "ScenarioReport", "find_cat_seed", "run_corpus", "scenario_cat",

@@ -97,7 +97,9 @@ def _parse_args(argv: list[str]):
     # The command is the first value (or `--`); before it, -h is the only flag.
     at = next((i for i, word in enumerate(argv) if _is_value(word) or word == "--"), len(argv))
     if "-h" in argv[:at] or "--help" in argv[:at]:
-        return _help(None)
+        from .helptext import help_lines  # only -h and --help load the help writer
+
+        return help_lines(sys.modules[__name__], None)
     if at == len(argv):
         raise _UsageError("the following arguments are required: command")
     command = _value("command", argv[at], tuple(_COMMANDS))
@@ -122,7 +124,9 @@ def _parse_args(argv: list[str]):
         elif word == "--":
             ended = True
         elif word in ("-h", "--help"):
-            return _help(command)
+            from .helptext import help_lines
+
+            return help_lines(sys.modules[__name__], command)
         elif word.partition("=")[0] not in named:
             unknown.append(word)
         else:
@@ -144,30 +148,6 @@ def _parse_args(argv: list[str]):
     if unknown:
         raise _UsageError("unrecognized arguments: " + " ".join(unknown))
     return SimpleNamespace(**args)
-
-
-def _help(command: str | None) -> list[str]:
-    """The help lines of `sapta --help`, or of `sapta COMMAND --help`: a row
-    for each command, or for the command's positional and each flag."""
-    if command is None:
-        usage, summary = "usage: sapta COMMAND [options]", __doc__.split("\n")[0]
-        rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
-    else:
-        _, summary, positional, flags = _COMMANDS[command]
-        usage, rows = f"usage: sapta {command} [options]", []
-        if positional:
-            name, takes, text = positional
-            shape = {"+": f"{name} [{name} ...]", "?": f"[{name}]"}.get(takes) or "{" + ",".join(takes) + "}"
-            usage += " " + shape
-            rows.append((shape, text))
-        rows.append(("-h, --help", "show this help message and exit"))
-        for flag, default, kind, text in (*flags, _FORMAT):
-            if kind is None:
-                shape = f"{flag}, --no-{flag[2:]}" if default is True else flag
-            else:
-                shape = flag + " " + ("{" + ",".join(kind) + "}" if type(kind) is tuple else flag[2:].upper())
-            rows.append((shape, text + (" (required)" if default is _REQUIRED else "")))
-    return [usage, "", summary, "", *(f"  {shape:<22}  {text}" for shape, text in rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +558,12 @@ def _run(argv: list[str] | None, keep: list) -> int:
     try:
         args = _parse_args(argv)
     except _UsageError as exc:
-        # No parsed args on this path: the last --format counts.
+        # No parsed args on this path: the last --format before any `--`
+        # counts; after `--`, every word is a positional.
         output_format = "json"
         for arg, value in zip(argv, argv[1:] + [None]):
+            if arg == "--":
+                break
             if arg.startswith("--format="):
                 output_format = arg[len("--format="):]
             elif arg == "--format" and value is not None:

@@ -1,5 +1,4 @@
-"""Three-valued evaluation of formulas over finite models, and schema
-destructuring.
+"""Three-valued evaluation of formulas over finite models.
 
 Evaluation is pure, so one model may be evaluated against concurrently.
 Only the ``eval`` command loads this module; the commands that build a model
@@ -9,7 +8,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import NotASchema, UndeclaredName, UnboundVariable
+from .errors import UndeclaredName, UnboundVariable
 from .formulas import (
     And,
     ContextGuard,
@@ -21,7 +20,6 @@ from .formulas import (
     Not,
     Or,
     PredicateApp,
-    _INCOMPAT_PAIRS,
     atom_name,
     free_variables,
 )
@@ -33,7 +31,6 @@ from .trivalent import _CHAIN, AND, IFF, IMPL, NOT, OR, Tv3
 __all__ = [
     "evaluate",
     "check_incompatibility",
-    "guard_of",
 ]
 
 
@@ -213,61 +210,3 @@ def check_incompatibility(
     clause = Not(Iff(ContextGuard(c1, "x"), ContextGuard(c2, "x")))
     quantified = Exists("x", clause) if quantifier == "exists" else ForAll("x", clause)
     return evaluate(quantified, model, incompat_mode="extensional")
-
-
-# ---------------------------------------------------------------------------
-# Schema destructuring.
-
-
-def _conjuncts(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _conjuncts(f.left) + _conjuncts(f.right)
-    return [f]
-
-
-def _atom_over(f: Formula, var: str) -> str | None:
-    name = atom_name(f)
-    return name if name is not None and f.var == var else None
-
-
-def guard_of(f: Formula) -> list[tuple[str, Formula]]:
-    """Extract (context, consequent) pairs from a predication-schema instance.
-
-    The formula must be a universally quantified conjunction of one to three
-    guarded implications whose consequents are literals over the bound
-    variable, together with exactly the pairwise guard-incompatibility
-    clauses.  Pairs are returned in textual order.  Anything else raises
-    :class:`NotASchema`.
-    """
-    if not isinstance(f, ForAll):
-        raise NotASchema("schema instances are universally quantified")
-    var = f.var
-    impls: list[tuple[str, Formula]] = []
-    clauses: list[frozenset[str]] = []
-    for part in _conjuncts(f.body):
-        if isinstance(part, Implies):
-            guard = _atom_over(part.left, var)
-            if guard is None:
-                raise NotASchema("implication antecedent is not a guard atom")
-            consequent = part.right
-            literal = consequent.operand if isinstance(consequent, Not) else consequent
-            if _atom_over(literal, var) is None:
-                raise NotASchema("implication consequent is not a literal over the bound variable")
-            impls.append((guard, consequent))
-        elif isinstance(part, Not) and isinstance(part.operand, Iff):
-            a = _atom_over(part.operand.left, var)
-            b = _atom_over(part.operand.right, var)
-            if a is None or b is None or a == b:
-                raise NotASchema("incompatibility clause must relate two distinct guard atoms")
-            clauses.append(frozenset({a, b}))
-        else:
-            raise NotASchema(f"unexpected conjunct: {type(part).__name__}")
-    guards = [g for g, _ in impls]
-    if not 1 <= len(guards) <= 3:
-        raise NotASchema(f"schemas carry 1..3 guarded implications, found {len(guards)}")
-    if len(set(guards)) != len(guards):
-        raise NotASchema("guard contexts must be distinct")
-    wanted = {frozenset({guards[i], guards[j]}) for i, j in _INCOMPAT_PAIRS[len(guards)]}
-    if len(clauses) != len(wanted) or set(clauses) != wanted:
-        raise NotASchema("pairwise incompatibility clauses do not match the guards")
-    return impls

@@ -1,16 +1,16 @@
-"""Formula AST, canonical pretty-printer, and the seven predication schemas.
+"""Formula AST and canonical pretty-printer.
 
 AST nodes are immutable and compare structurally; source spans are carried
 for diagnostics but never participate in equality.  Guard atoms
 (``ContextGuard``) and content predicates (``PredicateApp``) print
 identically — the grammar is uniform and the distinction is semantic.  It
-is normally introduced by :func:`schema` or by ``parse(..., contexts=...)``.
+is normally introduced by ``sapta.schemas.schema`` or by
+``parse(..., contexts=...)``.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .errors import ArityMismatch, DuplicateContext
 # Record and the predication table are re-exported: their home is `records`.
 from .records import PREDICATIONS, UNDET_SUFFIX, Record, undet_name
 
@@ -31,7 +31,6 @@ __all__ = [
     "ast_to_dict",
     "pretty",
     "undet_name",
-    "schema",
     "PREDICATIONS",
 ]
 
@@ -244,51 +243,3 @@ def _render(f: Formula, min_level: int, allow_open: bool) -> str:
         s = f"{left} {text} {right}"
         return "(" + s + ")" if needs_paren else s
     raise TypeError(f"not a formula node: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# The seven predication schemas.
-
-# Pairwise incompatibility clause order as published: (1,2) for two guards;
-# (1,2), (2,3), (1,3) for three.
-_INCOMPAT_PAIRS = {1: (), 2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 2))}
-
-
-def schema(n: int, contexts: Iterable[str], predicate: str, *, var: str = "x") -> Formula:
-    """Build predication schema ``n`` (1..7) over the given contexts.
-
-    Schemas 1-3 assert one guarded truth value; 4-7 conjoin two or three
-    guarded assertions with the pairwise guard-incompatibility clauses
-    ``~(c_i(x) <-> c_j(x))``.
-    """
-    if n not in PREDICATIONS:
-        raise ValueError(f"schema index must be 1..7, got {n}")
-    names = list(contexts)
-    if len(set(names)) != len(names):
-        raise DuplicateContext(f"context names must be distinct, got {names}")
-    consequents = PREDICATIONS[n][0]
-    arity = len(consequents)
-    if len(names) != arity:
-        raise ArityMismatch(
-            f"schema {n} takes {arity} context(s), got {len(names)}"
-        )
-
-    def consequent(kind: str) -> Formula:
-        p = PredicateApp(predicate, var)
-        if kind == "T":
-            return p
-        if kind == "F":
-            return Not(p)
-        return PredicateApp(undet_name(predicate), var)
-
-    guards = [ContextGuard(c, var) for c in names]
-    conjuncts: list[Formula] = [
-        Implies(g, consequent(kind)) for g, kind in zip(guards, consequents)
-    ]
-    for i, j in _INCOMPAT_PAIRS[arity]:
-        conjuncts.append(Not(Iff(guards[i], guards[j])))
-
-    body = conjuncts[0]
-    for c in conjuncts[1:]:
-        body = And(body, c)
-    return ForAll(var, body)

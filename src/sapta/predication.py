@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .errors import ModelError
 from .records import PREDICATIONS, Record, undet_name
-from .semantics import ContextDef, Model, _array, _declared, _object
+from .semantics import ContextDef, Model, _declared
 from .trivalent import Tv3
 
 if TYPE_CHECKING:
@@ -31,11 +31,7 @@ __all__ = [
     "classify",
     "entails",
     "induced_model",
-    "canonical_witness",
-    "CertificateRow",
-    "mutual_exclusivity_certificate",
     "schema_formula_for",
-    "judgments_from_json",
     "judgments_to_json",
     "tag_for_values",
 ]
@@ -51,18 +47,9 @@ class Judgment(Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "Judgment":
-        _object(data, "a judgment")
-        try:
-            judgment = cls(data["context"], data["predicate"], Tv3.from_str(data["value"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"malformed judgment {data!r}: {exc}") from None
-        if not (isinstance(judgment.context, str) and isinstance(judgment.predicate, str)):
-            raise ModelError(f"malformed judgment {data!r}: context and predicate must be strings")
-        return judgment
+        from .inputs import judgment_from_json
 
-
-def judgments_from_json(data: list) -> tuple[Judgment, ...]:
-    return tuple(Judgment.from_json(row) for row in _array(data, "a judgment set"))
+        return judgment_from_json(cls, data)
 
 
 def judgments_to_json(judgments: Iterable[Judgment]) -> list[dict]:
@@ -176,7 +163,7 @@ def schema_formula_for(cls: PredicationClass, predicate: str) -> Formula | None:
     k = cls.schema_index
     if k is None:
         return None
-    from .formulas import schema  # only a P1..P7 verdict builds a formula
+    from .schemas import schema  # only a P1..P7 verdict builds a formula
 
     return schema(k, cls.contexts_used, predicate)
 
@@ -234,54 +221,3 @@ def entails(judgments: Iterable[Judgment], model: Model, query: Judgment) -> Ent
         if j.context == query.context and j.predicate == query.predicate and j.value is not query.value:
             answer = Entailment.NO  # unless a later judgment matches exactly
     return answer
-
-
-# ---------------------------------------------------------------------------
-# Mutual exclusivity certificate.
-
-_CANONICAL_CONTEXTS = ("c1", "c2", "c3")
-
-
-def canonical_witness(tag: PredicationTag) -> tuple[tuple[Judgment, ...], Model]:
-    """Canonical judgment set and model exhibiting a P1..P7 predication."""
-    row = _ROWS.get(tag)
-    if row is None:
-        raise ValueError(f"no canonical witness for {tag}")
-    judgments = tuple(Judgment(c, "p", v) for c, v in zip(_CANONICAL_CONTEXTS, row[1]))
-    return judgments, induced_model(judgments, "p")
-
-
-class CertificateRow(Record):
-    __slots__ = _fields = ("first", "second", "verdict", "reason")
-
-    def to_json(self) -> dict:
-        return {
-            "first": self.first.value,
-            "second": self.second.value,
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
-
-
-def _value_set_text(values: tuple[Tv3, ...]) -> str:
-    return "{" + ", ".join(v.value for v in values) + "}"
-
-
-def mutual_exclusivity_certificate() -> list[CertificateRow]:
-    """Check pairwise distinctness of the seven predications.
-
-    Classify each canonical witness once; for each of the 21 unordered
-    pairs, verify neither witness lands on the other's class.  All rows must
-    read "distinct"; the asserted value sets make the reason explicit.
-    """
-    classified = {tag: classify(*canonical_witness(tag), "p").tag for tag in _ROWS}
-    rows = []
-    for a, b in combinations(_ROWS, 2):
-        distinct = classified[a] is a and classified[b] is b
-        va, vb = _ROWS[a][1], _ROWS[b][1]
-        if len(va) != len(vb):
-            reason = f"{len(va)} vs {len(vb)} values"
-        else:
-            reason = f"value sets {_value_set_text(va)} vs {_value_set_text(vb)}"
-        rows.append(CertificateRow(a, b, "distinct" if distinct else "OVERLAP", reason))
-    return rows

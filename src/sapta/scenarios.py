@@ -5,9 +5,9 @@ judgment set over mutually incompatible observation contexts; ``_report``
 adds the induced model and the expected predication class.  All randomness
 comes from numpy's seeded PCG64 generator (``numpy.random.default_rng``),
 so reports are reproducible bit-for-bit given the same parameters and
-seed.  The one draw an opened box needs is computed in pure Python
-(``_first_draw``); only a cat run with ``trials`` imports numpy, for its
-bulk sample.
+seed.  The draws are in ``sampling``, which only an opened box loads: its
+one draw is computed in pure Python, and only a cat run with ``trials``
+imports numpy, for its bulk sample.
 """
 from __future__ import annotations
 
@@ -161,68 +161,6 @@ def scenario_double_slit(
 # Schrödinger's cat.
 
 
-# Draws per chunk when the cat scenario samples --trials outcomes.
-_CAT_CHUNK = 1 << 16
-
-_M32 = (1 << 32) - 1
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-
-
-def _first_draw(seed: int) -> float:
-    """``numpy.random.default_rng(seed).random()``, computed without numpy.
-
-    numpy's ``SeedSequence`` hashes the seed's 32-bit words into a pool of
-    four and draws four 64-bit words from it; PCG64 (O'Neill 2014) takes
-    them as a 128-bit state and stream, steps its 128-bit LCG and permutes
-    the state into 64 output bits (XSL-RR), and ``random()`` keeps the top
-    53 of them.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return result ^ result >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # generate_state(4, uint64): eight 32-bit words, paired low word first.
-    hash_const = 0x8B51F9DD
-    halves = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _M32
-        value = value * hash_const & _M32
-        halves.append(value ^ value >> 16)
-    high, low, inc_high, inc_low = (halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2))
-
-    multiplier = 0x2360ED051FC65DA44385DF649FCCF645
-    increment = ((inc_high << 64 | inc_low) << 1 | 1) & _M128
-    state = (increment + (high << 64 | low)) * multiplier + increment & _M128
-    state = state * multiplier + increment & _M128
-    rotation = state >> 122
-    folded = (state >> 64 ^ state) & _M64
-    out = (folded >> rotation | folded << (64 - rotation)) & _M64
-    return (out >> 11) * 2.0**-53
-
-
 def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> ScenarioReport:
     """Sealed-box superposition versus an opened-box observation.
 
@@ -243,21 +181,12 @@ def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> Sc
             raise ValueError(f"trials must be non-negative, got {trials}")
         if trials is not None and trials > MAX_TRIALS:
             raise ValueError(f"at most {MAX_TRIALS} trials are allowed, got {trials}")
+        from .sampling import _first_draw, sample_alive
+
         if not trials:
             alive = _first_draw(seed) < p_alive
         else:
-            import numpy as np  # only the bulk sample needs numpy
-
-            rng = np.random.default_rng(seed)
-            alive = bool(rng.random() < p_alive)
-            # The remaining draws come from the same stream in chunks, so
-            # memory stays constant; a sum of 0/1 counts is exact, so the
-            # frequency equals the mean over one array of all draws.
-            count, left = int(alive), trials - 1
-            while left:
-                chunk = min(left, _CAT_CHUNK)
-                count += int(np.count_nonzero(rng.random(chunk) < p_alive))
-                left -= chunk
+            alive, count = sample_alive(seed, trials, p_alive)
             witness["alive_frequency"] = count / trials
         witness["sampled_alive"] = 1.0 if alive else 0.0
         judgments.insert(0, Judgment("box_open", "alive", Tv3.from_bool(alive)))
@@ -266,6 +195,8 @@ def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> Sc
 
 def find_cat_seed(base_seed: int, want_alive: bool) -> int:
     """Smallest seed >= base_seed whose first draw gives the wanted outcome."""
+    from .sampling import _first_draw
+
     seed = base_seed
     while (_first_draw(seed) < 0.5) != want_alive:
         seed += 1

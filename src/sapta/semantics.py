@@ -150,11 +150,13 @@ class Model:
             try:
                 a, b = pair
                 i, j = contexts_at[a], contexts_at[b]
+                if (pair.__class__ is not list and pair.__class__ is not tuple
+                        and not isinstance(pair, (list, tuple))):
+                    raise TypeError
             except (KeyError, TypeError, ValueError):
+                from .inputs import _pair_fault
+
                 raise _pair_fault(pair) from None
-            if (pair.__class__ is not list and pair.__class__ is not tuple
-                    and not isinstance(pair, (list, tuple))):
-                raise _pair_fault(pair)
             if i < j:
                 key = offsets[i] + j
             elif j < i:
@@ -179,7 +181,9 @@ class Model:
                     entities_at[row["entity"]]
                 ] = codes[row["value"]]
         except (KeyError, TypeError):
-            self._raise_row_fault(rows)
+            from .inputs import _raise_row_fault
+
+            _raise_row_fault(self, rows)
             raise
         # Unlisted cells read U.  Each column is translated in place of its
         # original, so no more than one column is ever held twice.  How many
@@ -260,40 +264,9 @@ class Model:
         list must be a JSON array of strings, and every incompatible entry an
         array of two context names.
         """
-        _object(data, "a model", "domain", "contexts", "predicates")
-        domain = _names(data["domain"], "'domain'")
-        ctx_objs = []
-        for c in _array(data["contexts"], "'contexts'"):
-            name = _name(_object(c, "every entry of 'contexts'", "name")["name"], "a context name")
-            extension = _names(c.get("extension", []), f"the extension of {name!r}")
-            ctx_objs.append(ContextDef(name, extension))
-        predicates = _names(data["predicates"], "'predicates'")
-        rows = _array(data.get("valuation", []), "'valuation'")
-        incompatible = _array(data.get("incompatible", []), "'incompatible'")
-        background = data.get("background")
-        if background is not None:
-            _name(background, "'background'")
-        model = cls.__new__(cls)
-        model._build(domain, ctx_objs, predicates, rows, incompatible, background)
-        return model
+        from .inputs import model_from_json
 
-    def _raise_row_fault(self, rows: list) -> None:
-        """Raise the ModelError for the first valuation row that is malformed
-        or names an undeclared context, entity or predicate."""
-        for row in rows:
-            try:
-                key = (row["context"], row["entity"], row["predicate"])
-                Tv3.from_str(row["value"])
-                hash(key)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ModelError(f"malformed valuation row {row!r}: {exc}") from None
-            for name, kind, index in zip(
-                key,
-                ("context", "entity", "predicate"),
-                (self._context_index, self._entity_index, self._predicate_index),
-            ):
-                if name not in index:
-                    raise ModelError(f"valuation names undeclared {kind} {name!r}")
+        return model_from_json(cls, data)
 
     def to_json(self) -> dict:
         """Emit the JSON object form with a fully explicit valuation."""
@@ -322,39 +295,3 @@ class Model:
                 sorted((names[key // k], names[key % k])) for key in keys
             ),
         }
-
-
-def _array(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ModelError(f"{what} must be an array, got {type(value).__name__}")
-    return value
-
-
-def _object(value, what: str, *keys: str) -> dict:
-    if not isinstance(value, dict):
-        raise ModelError(f"{what} must be a JSON object, got {type(value).__name__}")
-    for key in keys:
-        if key not in value:
-            raise ModelError(f"{what} must have a {key!r} key")
-    return value
-
-
-def _name(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ModelError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _pair_fault(pair) -> ModelError:
-    """The error for an incompatible entry that could not be stored."""
-    if (isinstance(pair, (list, tuple)) and len(pair) == 2
-            and isinstance(pair[0], str) and isinstance(pair[1], str)):
-        a, b = pair
-        return ModelError(f"incompatible pair ({a!r}, {b!r}) names an undeclared context")
-    return ModelError(f"incompatible entry must be a pair of context names, got {pair!r}")
-
-
-def _names(value, what: str) -> list[str]:
-    for name in _array(value, what):
-        _name(name, f"every entry of {what}")
-    return value

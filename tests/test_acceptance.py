@@ -10,7 +10,8 @@ import numpy as np
 
 from helpers_formulas import random_formula
 from sapta.evaluation import evaluate
-from sapta.formulas import pretty, schema
+from sapta.certificate import mutual_exclusivity_certificate
+from sapta.formulas import pretty
 from sapta.parser import parse
 from sapta.predication import (
     Entailment,
@@ -19,11 +20,11 @@ from sapta.predication import (
     classify,
     entails,
     induced_model,
-    mutual_exclusivity_certificate,
     tag_for_values,
 )
 from sapta.quantum import Operator, StateVector, weak_value
 from sapta.scenarios import run_corpus, scenario_cat, scenario_epr
+from sapta.schemas import schema
 from sapta.semantics import ContextDef, Model
 from sapta.trivalent import Tv3, conj3, disj3, impl3, neg3
 

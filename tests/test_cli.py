@@ -586,6 +586,10 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
     # Each command imports only the modules it runs: only `scenario cat` with
     # --trials needs numpy, no module needs dataclasses, only `eval` loads the
     # evaluator, and only a command that builds a formula loads `formulas`.
+    # Only the commands that read JSON input load its decoder (`inputs`),
+    # only `exclusivity` the certificate, only an opened box and the corpus
+    # the cat's draws (`sampling`), only a P1-P7 `classify` the schemas, and
+    # only -h or --help the help writer (`helptext`).
     # No run, a usage error or --help included, loads argparse, gettext or
     # locale (see _loaded_modules).
     model, judgments = cat_files
@@ -610,23 +614,30 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
     modelled = based | {"sapta.semantics", "sapta.trivalent"}
     judged = modelled | {"sapta.predication"}
     scenarios = judged | {"sapta.quantum", "sapta.scenarios"}
+    read = {"sapta.inputs"}
+    drawn = scenarios | {"sapta.sampling"}
     cases = [
         ([], startup),
         (["parse", str(formulas)], parsing),
-        (["eval", str(formulas), "--model", str(model)], modelled | parsing | {"sapta.evaluation"}),
-        (["classify", str(judgments), "--model", str(model)], judged | {"sapta.formulas"}),
-        (["classify", str(conflicting), "--model", str(model)], judged),
-        (["exclusivity"], judged),
+        (["eval", str(formulas), "--model", str(model)], modelled | parsing | read | {"sapta.evaluation"}),
+        (["classify", str(judgments), "--model", str(model)],
+         judged | read | {"sapta.formulas", "sapta.schemas"}),
+        (["classify", str(conflicting), "--model", str(model)], judged | read),
+        (["exclusivity"], judged | {"sapta.certificate"}),
     ]
     cases += [(["scenario", name], scenarios) for name in SCENARIO_NAMES]
-    cases += [(["scenario", "cat", "--open", "--seed", "7"], scenarios), (["corpus"], scenarios)]
+    cases += [(["scenario", "cat", "--open", "--seed", "7"], drawn), (["corpus"], drawn)]
     for argv, loaded in cases:
         assert _loaded_modules("-c", code, str(EX_OK), *argv) == loaded, argv
-    # Help and a usage error load nothing past the startup modules.
-    for argv, exit_code in [(["--help"], EX_OK), (["scenario", "--help"], EX_OK),
-                            (["eval", str(formulas)], EX_USAGE),
-                            (["scenario", "cat", "--seed", "-1", "--format", "text"], EX_USAGE)]:
-        assert _loaded_modules("-c", code, str(exit_code), *argv) == startup, argv
+    # A usage error loads nothing past the startup modules, and help only
+    # the help writer.
+    for argv, exit_code, loaded in [
+        (["--help"], EX_OK, startup | {"sapta.helptext"}),
+        (["scenario", "--help"], EX_OK, startup | {"sapta.helptext"}),
+        (["eval", str(formulas)], EX_USAGE, startup),
+        (["scenario", "cat", "--seed", "-1", "--format", "text"], EX_USAGE, startup),
+    ]:
+        assert _loaded_modules("-c", code, str(exit_code), *argv) == loaded, argv
     show = "import sys, sapta.records; print(' '.join(sys.modules))"
     assert _loaded_modules("-c", show) == {"sapta", "sapta.records"}
     show = "import sys, sapta; sapta.undet_name; print(' '.join(sys.modules))"

@@ -21,8 +21,10 @@ from pathlib import Path
 import pytest
 
 from sapta.cli import EX_OK, EX_USAGE, main
-from sapta.formulas import ast_to_dict, schema
-from sapta.predication import PredicationTag, canonical_witness, judgments_to_json
+from sapta.certificate import canonical_witness
+from sapta.formulas import ast_to_dict
+from sapta.predication import PredicationTag, judgments_to_json
+from sapta.schemas import schema
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,6 +89,8 @@ USAGE_PINNED = {
     "usage_bad_seed.json": (["corpus", "--seed", "-1"], "7b011a63b628f495"),
     "usage_bad_trials.json": (["scenario", "cat", "--open", "--trials", "1000000001"], "ec8c876b9648c827"),
     "usage_bad_levels.json": (["scenario", "threshold", "--levels", "0.5,x"], "b6ec6fcd4f5a5722"),
+    # After `--` a `--format` is a positional word, not the output format.
+    "usage_format_after_double_dash.json": (["corpus", "--", "--format", "text"], "c4d358850ec13a44"),
 }
 
 WITNESSES = json.loads((GOLDEN / "canonical_witnesses.json").read_text(encoding="utf-8"))

@@ -157,6 +157,9 @@ FAULTS = [
     ("valuation", _row(context=7), "valuation names undeclared context 7"),
     ("valuation", _row(entity="zz"), "valuation names undeclared entity 'zz'"),
     ("valuation", _row(predicate="c1"), "valuation names undeclared predicate 'c1'"),
+    ("contexts", {"name": "{0}", "extension": "e0"}, "the extension of '{0}' must be an array, got str"),
+    ("contexts", {"name": "{0}", "extension": ["e0", 1]},
+     "every entry of the extension of '{0}' must be a string, got 1"),
 ]
 
 
@@ -179,6 +182,32 @@ def test_single_fault_message(field, bad, message, at_end):
         with pytest.raises(ModelError) as info:
             Model.from_json(data)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("valuation", _row(entity="zz"), "valuation names undeclared entity 'zz'"),
+    ("incompatible", ["c0", "zz"], "incompatible pair ('c0', 'zz') names an undeclared context"),
+    ("incompatible", ["c2", "c2"], "context 'c2' cannot be incompatible with itself"),
+])
+def test_constructor_fault_message_is_the_one_from_json_gives(field, bad, message):
+    # `Model(...)` reaches the fault search that `Model._build` loads only
+    # once a row or pair has failed, as `Model.from_json` does.
+    for base in (BASE, SPARSE_BASE):
+        data = copy.deepcopy(base)
+        data[field].append(bad)
+        with pytest.raises(ModelError) as loaded:
+            Model.from_json(copy.deepcopy(data))
+        with pytest.raises(ModelError) as built:
+            Model(
+                data["domain"],
+                [ContextDef(c["name"], c.get("extension", ())) for c in data["contexts"]],
+                data["predicates"],
+                {(r["context"], r["entity"], r["predicate"]): Tv3.from_str(r["value"])
+                 for r in data["valuation"]},
+                [tuple(pair) for pair in data["incompatible"]],
+                data["background"],
+            )
+        assert str(built.value) == str(loaded.value) == message
 
 
 @pytest.mark.parametrize("data", [[], "model", None])

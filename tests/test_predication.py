@@ -7,26 +7,27 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import sapta.certificate as certificate
 import sapta.predication as predication
+from sapta.certificate import canonical_witness, mutual_exclusivity_certificate
 from sapta.cli import EX_ERROR, main
 from sapta.errors import ModelError, UndeclaredName
 from sapta.evaluation import evaluate
-from sapta.formulas import schema, undet_name
+from sapta.formulas import undet_name
+from sapta.inputs import judgments_from_json
 from sapta.predication import (
     Entailment,
     Judgment,
     PredicationClass,
     PredicationTag,
-    canonical_witness,
     classify,
     entails,
     induced_model,
-    judgments_from_json,
     judgments_to_json,
-    mutual_exclusivity_certificate,
     schema_formula_for,
     tag_for_values,
 )
+from sapta.schemas import schema
 from sapta.semantics import ContextDef, Model
 from sapta.trivalent import Tv3
 
@@ -410,7 +411,7 @@ def test_certificate_flags_every_row_of_a_mistagged_witness(monkeypatch):
             return PredicationClass(PredicationTag.P4, result.contexts_used)
         return result
 
-    monkeypatch.setattr(predication, "classify", mistag)
+    monkeypatch.setattr(certificate, "classify", mistag)
     overlapping = {(r.first, r.second) for r in mutual_exclusivity_certificate()
                    if r.verdict == "OVERLAP"}
     tag = [PredicationTag(f"P{k}") for k in range(1, 8)]

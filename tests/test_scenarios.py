@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from sapta import MAX_TRIALS, scenarios
+from sapta import MAX_TRIALS, sampling, scenarios
 from sapta.errors import BadCuts
 from sapta.evaluation import evaluate
 from sapta.predication import PredicationTag, classify, schema_formula_for
@@ -117,7 +117,7 @@ def test_cat_trials_chunked_equal_one_draw(monkeypatch, trials):
     want = {"p_alive": p_alive, "alive_frequency": float(np.mean(draws < p_alive)),
             "sampled_alive": float(draws[0] < p_alive)}
     assert scenario_cat(open_box=True, seed=3, trials=trials).numeric_witness == want
-    monkeypatch.setattr(scenarios, "_CAT_CHUNK", 7)
+    monkeypatch.setattr(sampling, "_CAT_CHUNK", 7)
     assert scenario_cat(open_box=True, seed=3, trials=trials).numeric_witness == want
 
 
@@ -130,7 +130,7 @@ def test_cat_trials_limit_checked_before_the_first_draw(monkeypatch):
     def no_draw(seed):
         raise AssertionError("drew before checking the trial count")
 
-    monkeypatch.setattr(scenarios, "_first_draw", no_draw)
+    monkeypatch.setattr(sampling, "_first_draw", no_draw)
     monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy fails
     with pytest.raises(ValueError, match=f"at most {MAX_TRIALS} trials"):
         scenario_cat(open_box=True, trials=MAX_TRIALS + 1)
@@ -157,13 +157,13 @@ def test_cat_negative_seed_rejected():
 @example(2**128 - 1)
 @example(2**128)
 def test_first_draw_equals_numpy(seed):
-    assert scenarios._first_draw(seed) == np.random.default_rng(seed).random()
+    assert sampling._first_draw(seed) == np.random.default_rng(seed).random()
 
 
 def test_first_draw_equals_numpy_on_every_small_seed():
     # The seeds the corpus and find_cat_seed search most.
     for seed in range(2000):
-        assert scenarios._first_draw(seed) == np.random.default_rng(seed).random(), seed
+        assert sampling._first_draw(seed) == np.random.default_rng(seed).random(), seed
 
 
 def test_cat_born_probability():

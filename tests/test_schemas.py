@@ -11,10 +11,10 @@ from sapta.formulas import (
     Not,
     PredicateApp,
     pretty,
-    schema,
     undet_name,
 )
 from sapta.parser import parse
+from sapta.schemas import schema
 
 
 def test_schema_one_shape():

@@ -14,10 +14,11 @@ from itertools import permutations, product
 
 import pytest
 
+from sapta.certificate import canonical_witness
 from sapta.errors import NotASchema
-from sapta.evaluation import guard_of
-from sapta.formulas import PREDICATIONS, And, ContextGuard, ForAll, Iff, Implies, Not, schema
-from sapta.predication import PredicationTag, canonical_witness, classify
+from sapta.formulas import PREDICATIONS, And, ContextGuard, ForAll, Iff, Implies, Not
+from sapta.predication import PredicationTag, classify
+from sapta.schemas import guard_of, schema
 from sapta.semantics import Model
 
 CONTEXTS = ("c1", "c2", "c3")

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from sapta.errors import ModelError, NotASchema, UnboundVariable, UndeclaredName
-from sapta.evaluation import check_incompatibility, evaluate, guard_of
+from sapta.evaluation import check_incompatibility, evaluate
 from sapta.formulas import (
     And,
     ContextGuard,
@@ -17,10 +17,10 @@ from sapta.formulas import (
     Not,
     Or,
     PredicateApp,
-    schema,
     undet_name,
 )
 from sapta.parser import parse
+from sapta.schemas import guard_of, schema
 from sapta.semantics import ContextDef, Model
 from sapta.trivalent import Tv3
 from sapta.trivalent import conj3, disj3, iff3, impl3, neg3
@@ -206,6 +206,7 @@ def test_to_json_sorts_names_and_pairs():
     ("incompatible", {"c": "d"}, "'incompatible' must be an array"),
     ("valuation", 5, "'valuation' must be an array"),
     ("background", ["c"], "'background' must be a string"),
+    ("predicates", ["p", None], "every entry of 'predicates' must be a string, got None"),
 ])
 def test_from_json_rejects_wrongly_typed_fields(field, bad, message):
     data = {

@@ -30,9 +30,9 @@ from sapta.formulas import (
     _Binary,
     _Quantifier,
 )
+from sapta.certificate import CertificateRow
 from sapta.parser import NamedFormula
 from sapta.predication import (
-    CertificateRow,
     Judgment,
     PredicationClass,
     PredicationTag,
