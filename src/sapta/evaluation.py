@@ -20,7 +20,6 @@ from .formulas import (
     Not,
     Or,
     PredicateApp,
-    atom_name,
     free_variables,
 )
 from .semantics import Model, _declared, _index_of
@@ -34,23 +33,14 @@ __all__ = [
 ]
 
 
-def _guard_context(model: Model, f: Formula) -> str | None:
-    """Context named by a guard atom, or None if `f` is not a guard."""
+def _guard(model: Model, f: Formula) -> int | None:
+    """Index of the context a guard atom names, or None if `f` is no guard:
+    a guard is a ContextGuard, whose context must be declared, or a
+    PredicateApp naming a declared context."""
     if isinstance(f, ContextGuard):
-        return f.context
-    if isinstance(f, PredicateApp) and model.is_context(f.name):
-        return f.name
-    return None
-
-
-def _incompat_pattern(model: Model, f: Formula) -> tuple[str, str] | None:
-    """Match the guard-incompatibility clause ``~(c1(x) <-> c2(x))``."""
-    if not (isinstance(f, Not) and isinstance(f.operand, Iff)):
-        return None
-    c1 = _guard_context(model, f.operand.left)
-    c2 = _guard_context(model, f.operand.right)
-    if c1 is not None and c2 is not None and c1 != c2:
-        return (c1, c2)
+        return _declared(model._context_index, f.context, "context", f)
+    if isinstance(f, PredicateApp):
+        return _index_of(model._context_index, f.name)
     return None
 
 
@@ -75,8 +65,9 @@ def evaluate(
     about the arrangements — while ``"extensional"`` evaluates the clause
     literally from the guard extensions.
 
-    The formula is compiled once, with every name resolved, into closures
-    over the entity indices bound by its quantifiers, so evaluation takes
+    The formula is compiled once, with every name resolved to its index,
+    into closures over a list of entity indices: the variables of ``env``
+    take its first slots and each quantifier the next, so evaluation takes
     O(|f|·N^depth) cell reads.  A bad name raises while compiling, at the
     first offending node in evaluation order; nodes evaluation never reaches
     (the body of a quantifier over an empty domain, the atoms of a
@@ -84,9 +75,10 @@ def evaluate(
     """
     if incompat_mode not in ("relational", "extensional"):
         raise ValueError(f"incompat_mode must be 'relational' or 'extensional', got {incompat_mode!r}")
-    compiler = _Compiler(model, dict(env or {}), incompat_mode == "relational")
-    run = compiler.compile(f, {}, None)
-    return _CHAIN[run([0] * compiler.slots)]
+    env = env or {}
+    compiler = _Compiler(model, list(env.values()), incompat_mode == "relational")
+    run = compiler.compile(f, {var: slot for slot, var in enumerate(env)}, None)
+    return _CHAIN[run(compiler.entities + [0] * (compiler.slots - len(compiler.entities)))]
 
 
 def _const(code: int):
@@ -99,35 +91,43 @@ _TABLES = {And: AND, Or: OR, Implies: IMPL, Iff: IFF}
 class _Compiler:
     """Compiles a formula against one model into a closure ``run(env) -> code``.
 
-    ``env`` is a list holding, per enclosing quantifier, the index of the
-    entity its variable is bound to.
+    ``env`` is a list holding, per slot, the index of the entity a variable
+    is bound to: the given entities first, then one slot per enclosing
+    quantifier.  Every name resolves to its index here, once per atom.
     """
 
-    def __init__(self, model: Model, env: dict, relational: bool):
+    def __init__(self, model: Model, names: list, relational: bool):
         self.model = model
-        self.env = env
         self.relational = relational
-        self.slots = 0
+        # The given entities; an undeclared one's index is None, and it
+        # raises at the first atom reading it.
+        self.names = names
+        self.entities = [_index_of(model._entity_index, e) for e in names]
+        self.slots = len(names)
+        self.background = model._context_index.get(model.background)  # None without contexts
 
-    def compile(self, f: Formula, scope: dict[str, int], ctx: str | None):
-        """`scope` maps bound variables to env slots; `ctx` is the context of
-        the innermost enclosing guard."""
+    def compile(self, f: Formula, scope: dict[str, int], ctx: int | None):
+        """`scope` maps variables to env slots; `ctx` is the index of the
+        context of the innermost enclosing guard."""
         m = self.model
         if isinstance(f, (PredicateApp, ContextGuard)):
             return self.atom(f, scope, ctx)
         if isinstance(f, Not):
-            if self.relational:
-                pair = _incompat_pattern(m, f)
-                if pair is not None:
-                    return _const(2 if m.incompatible(*pair) else 0)
-            a = self.compile(f.operand, scope, ctx)
+            operand = f.operand
+            if self.relational and isinstance(operand, Iff):
+                i = _guard(m, operand.left)
+                j = None if i is None else _guard(m, operand.right)
+                if j is not None and i != j:
+                    return _const(2 if m._incompatible_with_each([j])(i) else 0)
+            a = self.compile(operand, scope, ctx)
             return lambda env: NOT[a(env)]
         table = _TABLES.get(type(f))
         if table is not None:
             a = self.compile(f.left, scope, ctx)
             if isinstance(f, Implies):
                 # Innermost guard wins: the consequent is read in the guard's context.
-                ctx = _guard_context(m, f.left) or ctx
+                guard = _guard(m, f.left)
+                ctx = ctx if guard is None else guard
             b = self.compile(f.right, scope, ctx)
             return lambda env: table[a(env)][b(env)]
         if isinstance(f, (ForAll, Exists)):
@@ -154,32 +154,25 @@ class _Compiler:
             return fold
         raise TypeError(f"not a formula node: {f!r}")
 
-    def atom(self, f: PredicateApp | ContextGuard, scope: dict[str, int], ctx: str | None):
+    def atom(self, f: PredicateApp | ContextGuard, scope: dict[str, int], ctx: int | None):
         m = self.model
-        name = atom_name(f)
         slot = scope.get(f.var)
         if slot is None:
-            if f.var not in self.env:
-                raise UnboundVariable(f.var, getattr(f, "span", None))
-            ei = _declared(m._entity_index, self.env[f.var], "entity", f)
-        ci = _index_of(m._context_index, name)
+            raise UnboundVariable(f.var, f.span)
+        if slot < len(self.entities) and self.entities[slot] is None:
+            _declared(m._entity_index, self.names[slot], "entity", f)  # raises
+        ci = _guard(m, f)
         if ci is not None:
             extension = m._extensions[ci]
-            if slot is None:
-                return _const(2 if ei in extension else 0)
             return lambda env: 2 if env[slot] in extension else 0
-        if isinstance(f, ContextGuard):  # a guard naming no context: raises
-            _declared(m._context_index, name, "context", f)
-        pi = _declared(m._predicate_index, name, "predicate", f)
-        context = ctx or m.background
+        pi = _declared(m._predicate_index, f.name, "predicate", f)
+        context = self.background if ctx is None else ctx
         if context is None:
             raise UndeclaredName(
-                f"predicate {name!r} used outside any guard and the model declares no background context",
+                f"predicate {f.name!r} used outside any guard and the model declares no background context",
                 f.span,
             )
-        column = m._column(m._context_index[context], pi)
-        if slot is None:
-            return _const(column[ei])
+        column = m._column(context, pi)
         return lambda env: column[env[slot]]
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-# Record and the predication table are re-exported: their home is `records`.
-from .records import PREDICATIONS, UNDET_SUFFIX, Record, undet_name
+from .records import Record
 
 __all__ = [
     "SourceSpan",
@@ -30,8 +29,6 @@ __all__ = [
     "free_variables",
     "ast_to_dict",
     "pretty",
-    "undet_name",
-    "PREDICATIONS",
 ]
 
 

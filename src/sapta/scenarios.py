@@ -160,6 +160,11 @@ def scenario_double_slit(
 # ---------------------------------------------------------------------------
 # Schrödinger's cat.
 
+# The sealed cat, and the Born probability of finding it alive: a draw below
+# it finds the cat alive, in the scenario and in the seed search alike.
+_CAT = StateVector([1 / _SQRT2, 1 / _SQRT2], ("alive", "dead"))
+_P_ALIVE = float(abs(_CAT.amplitude("alive")) ** 2)
+
 
 def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> ScenarioReport:
     """Sealed-box superposition versus an opened-box observation.
@@ -171,9 +176,7 @@ def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> Sc
     P6 (found dead).  With ``trials`` the sampled alive frequency over that
     many draws is added to the numeric witness.
     """
-    cat = StateVector([1 / _SQRT2, 1 / _SQRT2], ("alive", "dead"))
-    p_alive = float(abs(cat.amplitude("alive")) ** 2)
-    witness: dict[str, float | complex] = {"p_alive": p_alive}
+    witness: dict[str, float | complex] = {"p_alive": _P_ALIVE}
 
     judgments = [Judgment("box_closed", "alive", Tv3.UNDET)]
     if open_box:
@@ -184,9 +187,9 @@ def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> Sc
         from .sampling import _first_draw, sample_alive
 
         if not trials:
-            alive = _first_draw(seed) < p_alive
+            alive = _first_draw(seed) < _P_ALIVE
         else:
-            alive, count = sample_alive(seed, trials, p_alive)
+            alive, count = sample_alive(seed, trials, _P_ALIVE)
             witness["alive_frequency"] = count / trials
         witness["sampled_alive"] = 1.0 if alive else 0.0
         judgments.insert(0, Judgment("box_open", "alive", Tv3.from_bool(alive)))
@@ -198,7 +201,7 @@ def find_cat_seed(base_seed: int, want_alive: bool) -> int:
     from .sampling import _first_draw
 
     seed = base_seed
-    while (_first_draw(seed) < 0.5) != want_alive:
+    while (_first_draw(seed) < _P_ALIVE) != want_alive:
         seed += 1
     return seed
 

@@ -23,8 +23,8 @@ __all__ = ["schema", "guard_of"]
 _INCOMPAT_PAIRS = {1: (), 2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 2))}
 
 
-def schema(n: int, contexts: Iterable[str], predicate: str, *, var: str = "x") -> Formula:
-    """Build predication schema ``n`` (1..7) over the given contexts.
+def schema(n: int, contexts: Iterable[str], predicate: str) -> Formula:
+    """Build predication schema ``n`` (1..7) over the given contexts, in ``x``.
 
     Schemas 1-3 assert one guarded truth value; 4-7 conjoin two or three
     guarded assertions with the pairwise guard-incompatibility clauses
@@ -43,14 +43,14 @@ def schema(n: int, contexts: Iterable[str], predicate: str, *, var: str = "x") -
         )
 
     def consequent(kind: str) -> Formula:
-        p = PredicateApp(predicate, var)
+        p = PredicateApp(predicate, "x")
         if kind == "T":
             return p
         if kind == "F":
             return Not(p)
-        return PredicateApp(undet_name(predicate), var)
+        return PredicateApp(undet_name(predicate), "x")
 
-    guards = [ContextGuard(c, var) for c in names]
+    guards = [ContextGuard(c, "x") for c in names]
     conjuncts: list[Formula] = [
         Implies(g, consequent(kind)) for g, kind in zip(guards, consequents)
     ]
@@ -60,7 +60,7 @@ def schema(n: int, contexts: Iterable[str], predicate: str, *, var: str = "x") -
     body = conjuncts[0]
     for c in conjuncts[1:]:
         body = And(body, c)
-    return ForAll(var, body)
+    return ForAll("x", body)
 
 
 def _conjuncts(f: Formula) -> list[Formula]:

@@ -221,9 +221,8 @@ class Model:
 
         Every context is compatible with itself.
         """
-        i, j = sorted(_declared(self._context_index, c, "context") for c in (c1, c2))
-        key, relation = i * len(self.contexts) + j, self._relation
-        return i != j and (relation[key] == 1 if relation.__class__ is bytes else key in relation)
+        i, j = (_declared(self._context_index, c, "context") for c in (c1, c2))
+        return i != j and self._incompatible_with_each([j])(i)
 
     def _incompatible_with_each(self, others: list[int]):
         """A test of whether the context at an index is incompatible with

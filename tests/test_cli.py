@@ -674,10 +674,10 @@ def test_package_names_still_resolve():
     assert sapta.run_corpus is scenarios.run_corpus
     assert sapta.__version__ == "0.1.0"
     assert "formulas" in dir(sapta) and sapta.formulas is formulas
-    from sapta import records  # the home of the names below, which formulas re-exports
+    from sapta import records  # the one home of the names below
 
-    assert formulas.Record is records.Record and formulas.PREDICATIONS is records.PREDICATIONS
-    assert sapta.undet_name is formulas.undet_name is records.undet_name
+    assert formulas.Record is records.Record and sapta.undet_name is records.undet_name
+    assert not hasattr(formulas, "PREDICATIONS") and not hasattr(formulas, "undet_name")
     with pytest.raises(AttributeError):
         sapta.no_such_name
 

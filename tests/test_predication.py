@@ -13,7 +13,6 @@ from sapta.certificate import canonical_witness, mutual_exclusivity_certificate
 from sapta.cli import EX_ERROR, main
 from sapta.errors import ModelError, UndeclaredName
 from sapta.evaluation import evaluate
-from sapta.formulas import undet_name
 from sapta.inputs import judgments_from_json
 from sapta.predication import (
     Entailment,
@@ -27,6 +26,7 @@ from sapta.predication import (
     schema_formula_for,
     tag_for_values,
 )
+from sapta.records import undet_name
 from sapta.schemas import schema
 from sapta.semantics import ContextDef, Model
 from sapta.trivalent import Tv3
@@ -277,6 +277,7 @@ def test_entails_reflexive_and_conflicting():
     assert entails(js, m, J("c1", T)) is Entailment.YES
     assert entails(js, m, J("c1", F)) is Entailment.NO
     assert entails(js, m, J("c2", T)) is Entailment.UNDETERMINED
+    assert [str(e) for e in Entailment] == ["Yes", "No", "Undetermined"]
 
 
 def test_entails_blocks_explosion():
@@ -372,6 +373,7 @@ def test_canonical_witnesses_classify_to_their_tag():
 def test_judgment_json_round_trip():
     js = (J("c1", T), J("c2", U, predicate="alive"))
     assert judgments_from_json(judgments_to_json(js)) == js
+    assert [Judgment.from_json(j.to_json()) for j in js] == list(js)
 
 
 def test_judgment_json_malformed():

@@ -41,6 +41,10 @@ def test_normalizes_on_construction():
     sv = StateVector([2, 0], ("a", "b"))
     assert abs(sv.norm() - 1.0) <= ATOL
     assert sv.amplitude("a") == pytest.approx(1.0)
+    assert len(sv) == 2
+    assert repr(sv) == "StateVector(a: 1+0j, b: 0+0j)"
+    with pytest.raises(KeyError, match="no basis label 'c'"):
+        sv.amplitude("c")
 
 
 def test_rejects_zero_vector_and_bad_labels():
@@ -52,13 +56,14 @@ def test_rejects_zero_vector_and_bad_labels():
         StateVector([1, 0, 0], ("a", "b"))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(0, float("nan"))])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(0, float("nan")), None])
 def test_rejects_non_finite_entries(bad):
+    message = "must be numbers" if bad is None else "must be finite"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=message):
             StateVector([bad, 1], ("a", "b"))
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=message):
             Operator([[bad, 0], [0, 1]])
 
 

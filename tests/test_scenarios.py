@@ -99,6 +99,20 @@ def test_cat_open_box_branches():
     assert dead.numeric_witness["sampled_alive"] == 0.0
 
 
+def test_cat_seed_search_and_scenario_share_one_threshold(monkeypatch):
+    # A first draw equal to p_alive = 0.5 - 2**-53 finds the cat dead, so
+    # the seed search must not take that seed for an alive one.
+    p_alive = scenario_cat(open_box=False).numeric_witness["p_alive"]
+    assert p_alive == 0.5 - 2**-53
+    first_draw = sampling._first_draw
+    monkeypatch.setattr(sampling, "_first_draw", lambda seed: p_alive if seed == 0 else first_draw(seed))
+    for want_alive in (True, False):
+        report = scenario_cat(open_box=True, seed=find_cat_seed(0, want_alive))
+        assert report.numeric_witness["sampled_alive"] == float(want_alive)
+    tags = {result.name: result.classified.tag for result in run_corpus(0)}
+    assert (tags["cat_open_alive"], tags["cat_open_dead"]) == (PredicationTag.P5, PredicationTag.P6)
+
+
 def test_cat_sampling_reproducible():
     a = scenario_cat(open_box=True, seed=7)
     b = scenario_cat(open_box=True, seed=7)
@@ -202,8 +216,10 @@ def test_wigner_composite_witnesses():
 
 
 def test_wigner_rejects_unknown_perspective():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="perspective must be"):
         scenario_wigner("bohr")
+    with pytest.raises(ValueError, match="friend_outcome must be"):
+        scenario_wigner(friend_outcome="sideways")
 
 
 # -- EPR --------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from sapta.formulas import (
     Not,
     PredicateApp,
     pretty,
-    undet_name,
 )
 from sapta.parser import parse
+from sapta.records import undet_name
 from sapta.schemas import schema
 
 

@@ -16,8 +16,9 @@ import pytest
 
 from sapta.certificate import canonical_witness
 from sapta.errors import NotASchema
-from sapta.formulas import PREDICATIONS, And, ContextGuard, ForAll, Iff, Implies, Not
+from sapta.formulas import And, ContextGuard, ForAll, Iff, Implies, Not
 from sapta.predication import PredicationTag, classify
+from sapta.records import PREDICATIONS
 from sapta.schemas import guard_of, schema
 from sapta.semantics import Model
 

@@ -17,9 +17,9 @@ from sapta.formulas import (
     Not,
     Or,
     PredicateApp,
-    undet_name,
 )
 from sapta.parser import parse
+from sapta.records import undet_name
 from sapta.schemas import guard_of, schema
 from sapta.semantics import ContextDef, Model
 from sapta.trivalent import Tv3
@@ -97,6 +97,11 @@ def test_undeclared_atoms_carry_their_span():
         with pytest.raises(UndeclaredName, match=message) as info:
             evaluate(f, m, {"x": "a"})
         assert info.value.span == f.right.span
+    # A guard of a relational incompatibility clause names its context too.
+    f = parse("forall x. ~(zz(x) <-> c1(x))", contexts={"zz", "c1"})
+    with pytest.raises(UndeclaredName, match="undeclared context 'zz'") as info:
+        evaluate(f, m)
+    assert info.value.span == f.body.operand.left.span
     with pytest.raises(UndeclaredName, match="undeclared entity 'zz'") as info:
         evaluate(parse("q(y) | p(x)"), m, {"x": "zz", "y": "a"})
     assert info.value.span.column == 8

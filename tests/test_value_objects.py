@@ -167,6 +167,8 @@ def test_fields_cannot_be_assigned(cls):
     for name in names:
         with pytest.raises(AttributeError):
             setattr(obj, name, getattr(changed, name))
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(obj, name)
     assert obj == cls(*fields)
 
 
