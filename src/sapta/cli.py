@@ -212,11 +212,12 @@ class _Encoder(json.JSONEncoder):
     ensure_ascii=False``, written by one recursive function.
 
     With ``indent`` set, CPython's encoder runs a pure-Python generator per
-    container and yields a fresh string per item; this writer appends one
-    string per item (two when the value is a container): the text before a
-    dict's item, from its brace or comma to its quoted key and separator, is
-    made once per depth and set of keys.  Strings are quoted once per call;
-    floats, empty containers and other scalars go to the stock encoder.
+    container and yields a fresh string per item.  This writer appends one
+    string per item (two when the value is a container) of the shapes sapta
+    emits, a non-empty exact dict with string keys and a non-empty exact
+    list or tuple: the text before a dict's item, from its brace or comma to
+    its quoted key and separator, is made once per depth and set of keys.
+    Strings are quoted once per call; any other value is the stock text.
     """
 
     def encode(self, o) -> str:
@@ -227,29 +228,24 @@ class _Encoder(json.JSONEncoder):
         scalar = {str: quoted, int: int.__repr__, float: stock,
                   bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
         # (depth, *keys) -> the text before each item of a dict at `depth`
-        # with those keys, and its closing text; depth -> the text before a
-        # list's first item, before a later one, and its closing text.
+        # with those string keys, and its closing text; depth -> the text
+        # before a list's first item, before a later one, and its closing text.
         layouts: dict = {}
         chunks: list[str] = []
         append = chunks.append
 
-        def dict_layout(depth: int, o: dict) -> tuple:
+        def dict_layout(depth: int, o: dict) -> tuple | None:
+            if not all(type(key) is str for key in o):
+                return None  # the stock encoder writes, or rejects, other keys
             margin = item_sep + "\n" + indent * (depth + 1)
-            heads = []
-            for key in o:  # as the stock encoder, which quotes the text of a scalar key
-                if not isinstance(key, (str, int, float, type(None))):
-                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-                heads.append(margin + quoted(key if isinstance(key, str) else stock(key)) + key_sep)
+            heads = [margin + quoted(key) + key_sep for key in o]
             heads[0] = "{" + heads[0][len(item_sep):]
-            layout = heads, "\n" + indent * depth + "}"
-            if all(type(key) is str for key in o):  # 1, 1.0 and True are one key
-                layouts[(depth, *o)] = layout
-            return layout
+            return layouts.setdefault((depth, *o), (heads, "\n" + indent * depth + "}"))
 
         def write(o, depth: int) -> None:
             t = type(o)
-            if t is dict and o:
-                heads, close = layouts.get((depth, *o)) or dict_layout(depth, o)
+            if t is dict and o and (layout := layouts.get((depth, *o)) or dict_layout(depth, o)):
+                heads, close = layout
                 items = zip(heads, o.values())
             elif (t is list or t is tuple) and o:
                 if depth not in layouts:
@@ -257,11 +253,8 @@ class _Encoder(json.JSONEncoder):
                     layouts[depth] = "[" + margin, item_sep + margin, "\n" + indent * depth + "]"
                 first, later, close = layouts[depth]
                 items = zip(chain((first,), repeat(later)), o)
-            elif isinstance(o, (dict, list, tuple)) and t not in (dict, list, tuple):  # a subclass
-                write(dict(o.items()) if isinstance(o, dict) else list(o), depth)
-                return
-            else:  # a scalar or an empty container; raises TypeError as stock does
-                append(stock(o))
+            else:  # indented to this depth: JSON escapes a newline in a string
+                append(stock(o).replace("\n", "\n" + indent * depth))
                 return
             for head, value in items:
                 text = scalar.get(type(value))

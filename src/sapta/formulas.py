@@ -35,8 +35,8 @@ __all__ = [
 class SourceSpan(NamedTuple):
     """Byte range plus 1-based line/column of a token or node.
 
-    A named tuple: the lexer builds one per token, and a tuple is about
-    three times cheaper to construct than a class instance.
+    A named tuple.  Lexing and parsing build none unless an error needs
+    one; a parsed node resolves its span when read (see ``Formula``).
     """
 
     start: int

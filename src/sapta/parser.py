@@ -130,13 +130,15 @@ class Tokens(Sequence):
 def _token_list(text: str, line: int, column: int, offset: int) -> list[Token]:
     """Every token of `text` with its span, tracking byte offsets and
     line/column; the package's one span computation."""
-    # Tokens are built with tuple.__new__, which skips the Python-level
-    # __new__ of the named tuples; there is one Token and one SourceSpan per
-    # token, and this halves the pass's time.
-    new = tuple.__new__
-    kind_of = _KIND.get
+    # byte[k] is the offset of character k: `offset` plus the UTF-8 length of
+    # text[:k].  A lone surrogate counts as the three bytes "surrogatepass"
+    # gives it, so it is reported as an unexpected character.
+    if text.isascii():
+        byte = range(offset, offset + len(text) + 1)
+    else:
+        byte = [*accumulate((len(ch.encode("utf-8", "surrogatepass")) for ch in text),
+                            initial=offset)]
     out: list[Token] = []
-    append = out.append
     ln = line
     origin = -column  # column of character i on the current line is i - origin
     i = 0
@@ -150,25 +152,17 @@ def _token_list(text: str, line: int, column: int, offset: int) -> list[Token]:
             ln += text.count("\n", i, j)
             origin = newline
         if bad:
-            at = offset + len(text[:j].encode("utf-8"))
             raise ParseError(
                 f"unexpected character {bad!r}",
-                span=SourceSpan(at, at + len(bad.encode("utf-8")), ln, j - origin),
+                span=SourceSpan(byte[j], byte[j + 1], ln, j - origin),
                 found=repr(bad),
             )
         word = text[start:end]
         if word[:1] != "#":
-            span = new(SourceSpan, (offset + start, offset + end, ln, start - origin))
-            append(new(Token, (kind_of(word, "ident"), word, span)))
+            span = SourceSpan(byte[start], byte[end], ln, start - origin)
+            out.append(Token(_KIND.get(word, "ident"), word, span))
         i = end
-    if text.isascii():
-        return out
-    # Offsets so far count characters; byte[k] is the UTF-8 length of text[:k].
-    byte = list(accumulate((len(ch.encode("utf-8")) for ch in text), initial=0))
-    return [
-        Token(kind, word, SourceSpan(offset + byte[start - offset], offset + byte[end - offset], *at))
-        for kind, word, (start, end, *at) in out
-    ]
+    return out
 
 
 # Deepest nesting the parser accepts: at most this many constructs (`~`,
@@ -368,9 +362,9 @@ def parse_formula_file(
                 frag,
                 line=lineno,
                 column=col0 + 1,
-                offset=byte_base + len(raw[:col0].encode("utf-8")),
+                offset=byte_base + len(raw[:col0].encode("utf-8", "surrogatepass")),
             )
             f = _parse_tokens(tokens, names, require_closed)
             entries.append(NamedFormula(name, f, lineno))
-        byte_base += len(raw.encode("utf-8")) + len(end)
+        byte_base += len(raw.encode("utf-8", "surrogatepass")) + len(end)
     return entries

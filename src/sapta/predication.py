@@ -171,10 +171,12 @@ def schema_formula_for(cls: PredicationClass, predicate: str) -> Formula | None:
 def induced_model(judgments: Iterable[Judgment], predicate: str, entity: str = "e") -> Model:
     """Build the minimal model on which a judgment set's schema holds.
 
-    One entity satisfies every judgment context's condition; the valuation
-    mirrors the judgments, with the derived indeterminacy predicate set true
-    exactly where the value is U; all context pairs are mutually
-    incompatible (distinct, non-overlapping conditions).
+    One entity satisfies every judgment context's condition, so all contexts
+    share one extension; the valuation mirrors the judgments, with the derived
+    indeterminacy predicate true exactly where the value is U; all context
+    pairs are declared incompatible.  The schema round trip holds under the
+    relational reading: read extensionally, the shared extension makes every
+    incompatibility clause, and so every P4-P7 schema, F.
     """
     relevant = [j for j in judgments if j.predicate == predicate]
     names = sorted({j.context for j in relevant})

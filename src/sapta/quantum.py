@@ -41,9 +41,12 @@ TOL = 1e-12
 
 
 def _complex_entries(values, what: str) -> tuple[complex, ...]:
+    values = tuple(values)
     try:
+        if any(isinstance(v, (str, bytes)) for v in values):  # complex() parses "1"
+            raise TypeError
         entries = tuple(map(complex, values))
-    except TypeError:
+    except (TypeError, ValueError):
         raise ValueError(f"{what} must be numbers") from None
     for z in entries:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):

@@ -228,13 +228,16 @@ class Model:
         """A test of whether the context at an index is incompatible with
         every context at the indices ``others``, which do not include it.
 
-        On a byte map, ``others`` becomes one K-byte mask holding 1 at each
-        of them, and a context passes when its row of the map, read as an
-        int, has every bit of the mask set: one AND of K bytes a test.  On
-        a set, the test looks up the key of each pair.
+        On a byte map, one index is tested by reading its pair's byte; more
+        become one K-byte mask holding 1 at each, and a context passes when
+        its row of the map, read as an int, has every mask bit set: one AND
+        of K bytes a test.  On a set, the test looks up the key of each pair.
         """
         relation, k = self._relation, len(self.contexts)
         if relation.__class__ is bytes:
+            if len(others) == 1:
+                b = others[0]
+                return lambda a: relation[a * k + b if a < b else b * k + a] == 1
             marks = bytearray(k)
             for b in others:
                 marks[b] = 1

@@ -121,6 +121,24 @@ def test_usage_error_is_byte_identical_to_pin(capsys, monkeypatch, name):
     assert stdout_bytes(capsys, argv, EX_USAGE) == _pinned(name, digest)
 
 
+def test_json_output_takes_the_writers_own_path(capsys, monkeypatch):
+    # `cli._Encoder` writes non-empty containers itself and hands anything
+    # else to the stock encoder; no pinned JSON output may reach it with one.
+    stock, handed = json.JSONEncoder.encode, []
+
+    def encode(self, o):
+        if isinstance(o, (dict, list, tuple)) and o:
+            handed.append(type(o).__name__)
+        return stock(self, o)
+
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.setattr(json.JSONEncoder, "encode", encode)
+    pins = {**PINNED, **USAGE_PINNED}
+    for name in sorted(name for name in pins if name.endswith(".json")):
+        stdout_bytes(capsys, pins[name][0], EX_USAGE if name in USAGE_PINNED else EX_OK)
+    assert handed == []
+
+
 def _guard(context):
     return {"node": "ContextGuard", "context": context, "var": "x"}
 

@@ -354,6 +354,27 @@ def test_many_contexts_and_one_pair_allocate_nothing_quadratic():
     assert one_peak < 50 * len(text)
 
 
+def test_one_pair_test_on_a_dense_relation_reads_one_byte():
+    # 2,000 contexts, each incompatible with the next 32: enough pairs for
+    # the K·K byte map.  Testing one pair reads its byte; a K-byte mask and
+    # a K-byte row of the map took 4.4 kB a call.
+    k = 2000
+    names = [f"c{i}" for i in range(k)]
+    pairs = [(names[i], names[j]) for i in range(k) for j in range(i + 1, min(k, i + 33))]
+    model = Model(["e"], [ContextDef(c) for c in names], ["p"], incompatible=pairs, background="c0")
+    assert model._relation.__class__ is bytes
+    assert model.incompatible("c1999", "c1967") and not model.incompatible("c0", "c1999")
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert model.incompatible("c1000", "c1020")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1_000
+
+
 # -- one row writer behind both constructors ------------------------------------------
 
 

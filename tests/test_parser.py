@@ -78,6 +78,22 @@ def test_unexpected_character():
     assert exc.value.span.start == 5
 
 
+@pytest.mark.parametrize("text, found, start, end", [
+    # "surrogatepass" counts a lone surrogate as three bytes; strict UTF-8
+    # raised UnicodeEncodeError while measuring its span.
+    ("p(x) & \ud800", "'\\ud800'", 7, 10),
+    ("$\ud800", "'$'", 0, 1),  # the first unexpected character raises
+])
+def test_lone_surrogate_is_an_unexpected_character(text, found, start, end):
+    with pytest.raises(ParseError) as exc:
+        tokenize(text)
+    assert exc.value.found == found
+    assert (exc.value.span.start, exc.value.span.end) == (start, end)
+    with pytest.raises(ParseError) as exc:
+        parse_formula_file("p(x)\n" + text)
+    assert (exc.value.span.start, exc.value.span.line) == (start + 5, 2)
+
+
 def test_unicode_aliases():
     ascii_form = parse("forall x. (a(x) -> b(x) & ~c(x) | d(x) <-> exists y. e(y))")
     unicode_form = parse("∀x. (a(x) → b(x) ∧ ¬c(x) ∨ d(x) ↔ ∃y. e(y))")

@@ -67,6 +67,15 @@ def test_rejects_non_finite_entries(bad):
             Operator([[bad, 0], [0, 1]])
 
 
+def test_rejects_strings_as_numbers():
+    # complex() would read "1" as 1+0j and raise its own error for "a".
+    for bad in (["a", 1], ["1", 0], [b"1", 0]):
+        with pytest.raises(ValueError, match="amplitudes must be numbers"):
+            StateVector(bad, ("a", "b"))
+    with pytest.raises(ValueError, match="operator entries must be numbers"):
+        Operator([["1", 0], [0, 1]])
+
+
 def test_amplitudes_immutable():
     sv = StateVector([1, 0], ("a", "b"))
     with pytest.raises(TypeError):
