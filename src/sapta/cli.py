@@ -212,12 +212,15 @@ class _Encoder(json.JSONEncoder):
     ensure_ascii=False``, written by one recursive function.
 
     With ``indent`` set, CPython's encoder runs a pure-Python generator per
-    container and yields a fresh string per item.  This writer appends one
-    string per item (two when the value is a container) of the shapes sapta
-    emits, a non-empty exact dict with string keys and a non-empty exact
-    list or tuple: the text before a dict's item, from its brace or comma to
-    its quoted key and separator, is made once per depth and set of keys.
-    Strings are quoted once per call; any other value is the stock text.
+    container and yields a fresh string per item.  This writer appends two
+    pieces per item to one list, the text before the item and its value's
+    text, and joins them once; it concatenates nothing per item.  The text
+    before a dict's item, from its brace or comma to its quoted key and
+    separator, is made once per depth and set of keys, and each string is
+    quoted once per call, so most pieces are shared cached strings and the
+    list holds only a reference to each.  It writes the shapes sapta emits,
+    a non-empty exact dict with string keys and a non-empty exact list or
+    tuple; any other value is the stock text.
     """
 
     def encode(self, o) -> str:
@@ -231,8 +234,8 @@ class _Encoder(json.JSONEncoder):
         # with those string keys, and its closing text; depth -> the text
         # before a list's first item, before a later one, and its closing text.
         layouts: dict = {}
-        chunks: list[str] = []
-        append = chunks.append
+        pieces: list[str] = []
+        append = pieces.append
 
         def dict_layout(depth: int, o: dict) -> tuple | None:
             if not all(type(key) is str for key in o):
@@ -257,22 +260,22 @@ class _Encoder(json.JSONEncoder):
                 append(stock(o).replace("\n", "\n" + indent * depth))
                 return
             for head, value in items:
+                append(head)
                 text = scalar.get(type(value))
                 if text is None:
-                    append(head)
                     write(value, depth + 1)
                 else:
-                    append(head + text(value))
+                    append(text(value))
             append(close)
 
         try:
             write(o, 0)
         finally:
             # `write` calls itself through its closure cell; emptying the cell
-            # ends that cycle, which would keep the chunks and caches alive
+            # ends that cycle, which would keep the pieces and caches alive
             # until a collection, and the CLI process runs none.
             del write
-        return "".join(chunks)
+        return "".join(pieces)
 
 
 def _write(output) -> None:
@@ -294,19 +297,37 @@ def _warn(text: str) -> None:
         pass
 
 
-def _read(path: str) -> str:
+def _read(path: str, error=ParseError) -> str:
     """The UTF-8 text of a file, or of stdin for "-", with its line endings
-    as they are, so that a span's offset counts the bytes of the file."""
+    as they are, so that a span's offset counts the bytes of the file.
+
+    Bytes that are not UTF-8 raise `error`, naming the path as given and the
+    offset of the first bad byte: a ParseError spans that byte, at the line
+    and column the formula parser would give it."""
     if path == "-":
         if sys.stdin is None:  # started with stdin closed
             raise SaptaError("standard input is closed")
-        return sys.stdin.buffer.read().decode("utf-8")
-    with open(path, "rb") as fh:
-        return fh.read().decode("utf-8")
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})"
+        if error is not ParseError:
+            raise error(message) from None
+        from .formulas import SourceSpan
+
+        # A line ends at CR LF, CR or LF, as in parse_formula_file.
+        before = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        column = len(before) - before.rfind("\n")
+        span = SourceSpan(exc.start, exc.end, before.count("\n") + 1, column)
+        raise ParseError(message, span=span) from None
 
 
 def _read_json(path: str, keep: list):
-    text = _read(path)
+    text = _read(path, ModelError)
     try:
         data = json.loads(text)
     except RecursionError:  # the decoder recurses once per nested array or object

@@ -69,22 +69,26 @@ _DESCRIPTION = {
     "eof": "end of input",
 }
 
-# Binary connective kind -> (precedence level, node class, groups to the right).
+# Binary connective word, in either spelling -> (precedence level, node
+# class, groups to the right); prefix word -> node class.  A word is an
+# identifier exactly when it is not in _KIND, and "" is eof.
 _INFIX = {
-    kind: (level, node, assoc == "right")
-    for level, (kind, node, _, _, assoc) in enumerate(OPERATORS, 1)
+    text: (level, node, assoc == "right")
+    for level, (_, node, plain, alias, assoc) in enumerate(OPERATORS, 1)
     if assoc != "prefix"
+    for text in (plain, alias)
 }
-_PREFIX = {kind: node for kind, node, _, _, assoc in OPERATORS if assoc == "prefix"}
-_OPERAND_START = {*_PREFIX, "lparen", "ident"}
+_PREFIX = {text: node for _, node, plain, alias, assoc in OPERATORS if assoc == "prefix"
+           for text in (plain, alias)}
+_OPERAND_START = {*(kind for kind, *_, assoc in OPERATORS if assoc == "prefix"), "lparen", "ident"}
 
 
 def tokenize(text: str, *, line: int = 1, column: int = 1, offset: int = 0) -> Tokens:
     """Lex formula text into a :class:`Tokens` sequence, ``eof`` last.
 
-    Only the tokens' words and kinds are computed here.  ``list()`` of the
-    result is the ``list[Token]``, spans included, that ``tokenize``
-    returned when it built every span at once.  An unexpected character
+    Only the tokens' words are computed here.  ``list()`` of the result is
+    the ``list[Token]``, kinds and spans included, that ``tokenize``
+    returned when it built every token at once.  An unexpected character
     raises here.
     """
     words = _WORD.findall(text)
@@ -95,25 +99,25 @@ def tokenize(text: str, *, line: int = 1, column: int = 1, offset: int = 0) -> T
     if found != "".join(text.split()):  # a character lies outside every word
         _token_list(text, line, column, offset)  # raises at the first one
     words.append("")
-    return Tokens(text, line, column, offset, words, [*map(_KIND.get, words, repeat("ident"))])
+    return Tokens(text, line, column, offset, words)
 
 
 class Tokens(Sequence):
-    """The tokens of one fragment: their ``words`` and ``kinds`` lists, which
-    parsing releases, and the coordinates of the fragment's first character.
-    The :class:`Token` objects, with their spans, are built all at once when
-    the first element is read, and kept."""
+    """The tokens of one fragment: their ``words`` list, which parsing
+    releases, and the coordinates of the fragment's first character.  The
+    :class:`Token` objects, with their kinds and spans, are built all at
+    once when the first element is read, and kept; ``len()`` counts the
+    words and builds none."""
 
-    __slots__ = ("text", "line", "column", "offset", "words", "kinds", "_tokens")
+    __slots__ = ("text", "line", "column", "offset", "words", "_tokens")
 
-    def __init__(self, text: str, line: int, column: int, offset: int,
-                 words: list[str], kinds: list[str]):
+    def __init__(self, text: str, line: int, column: int, offset: int, words: list[str]):
         self.text, self.line, self.column, self.offset = text, line, column, offset
-        self.words, self.kinds = words, kinds
+        self.words = words
         self._tokens: list[Token] | None = None
 
     def __len__(self) -> int:
-        return len(self._list() if self.kinds is None else self.kinds)
+        return len(self._list() if self.words is None else self.words)
 
     def __getitem__(self, index):
         return self._list()[index]
@@ -190,15 +194,16 @@ def _check_height(f: Formula) -> None:
 
 
 class _Parser:
-    """Precedence climbing over the tokens' `kinds` and `words`, read by
-    index so that no Token is built unless an error needs its span.  A node
-    records its span as (tokens, first token, last token), which
-    ``Formula.span`` resolves when read.  Atoms named in `contexts` become
-    guards."""
+    """Precedence climbing over the tokens' `words`, read by index so that
+    no Token is built unless an error needs its span.  A node records its
+    span as (tokens, first token, last token), which ``Formula.span``
+    resolves when read.  Atoms named in `contexts` become guards.
+
+    Each construct that nests, a parenthesis, `~`, a quantifier or an
+    arrow's right operand, checks and counts its own level where it opens."""
 
     def __init__(self, tokens: Tokens, contexts: frozenset[str]):
         self.tokens = tokens
-        self.kinds = tokens.kinds
         self.words = tokens.words
         self.contexts = contexts
         self.pos = 0
@@ -206,10 +211,11 @@ class _Parser:
         self.operators = 0  # operators, quantifiers and parentheses read
 
     def expect(self, kind: str) -> str:
-        if self.kinds[self.pos] != kind:
+        word = self.words[self.pos]
+        if _KIND.get(word, "ident") != kind:
             self.fail({kind})
         self.pos += 1
-        return self.words[self.pos - 1]
+        return word
 
     def fail(self, expected: set[str]) -> None:
         tok = self.tokens[self.pos]
@@ -222,75 +228,73 @@ class _Parser:
             found=found,
         )
 
-    def nested(self, at: int, production, *args) -> Formula:
-        """Parse the sub-formula token `at` opens, one nesting level down."""
-        if self.depth == MAX_DEPTH:
-            raise _too_deep(self.tokens[at].span)
-        self.depth += 1
-        self.operators += 1
-        node = production(*args)
-        self.depth -= 1
-        return node
-
     def formula(self, level: int = 1) -> Formula:
         """Parse operands joined by connectives binding at `level` or tighter:
         one grouping to the right takes the rest one nesting level down, one
         grouping to the left loops."""
         node = self.unary()
+        words = self.words
         while True:
-            row = _INFIX.get(self.kinds[self.pos])
+            row = _INFIX.get(words[self.pos])
             if row is None or row[0] < level:
                 return node
             op_level, cls, right_assoc = row
             self.pos += 1
+            self.operators += 1
             if right_assoc:
-                rhs = self.nested(self.pos - 1, self.formula, op_level)
+                if self.depth == MAX_DEPTH:
+                    raise _too_deep(self.tokens[self.pos - 1].span)
+                self.depth += 1
+                rhs = self.formula(op_level)
+                self.depth -= 1
             else:
-                self.operators += 1
                 rhs = self.formula(op_level + 1)
             node = cls(node, rhs, (self.tokens, node._span[1], rhs._span[2]))
 
     def unary(self) -> Formula:
-        kinds, pos = self.kinds, self.pos
-        kind = kinds[pos]
-        if kind == "ident":
-            # The eof token ends the list, so the lookahead stays in range.
-            if kinds[pos + 1] != "lparen" or kinds[pos + 2] != "ident" or kinds[pos + 3] != "rparen":
+        words, pos = self.words, self.pos
+        word = words[pos]
+        if word not in _KIND:  # an identifier
+            # The eof word ends the list, so the lookahead stays in range.
+            if words[pos + 1] != "(" or words[pos + 2] in _KIND or words[pos + 3] != ")":
                 # Not `name ( var )`: the first token out of place raises.
                 self.pos += 1
                 self.expect("lparen")
                 self.expect("ident")
                 self.expect("rparen")
             self.pos = pos + 4
-            name = self.words[pos]
-            cls = ContextGuard if name in self.contexts else PredicateApp
-            return cls(name, self.words[pos + 2], (self.tokens, pos, pos + 3))
-        cls = _PREFIX.get(kind)
-        if cls is Not:
-            self.pos += 1
-            operand = self.nested(pos, self.unary)
-            return Not(operand, (self.tokens, pos, operand._span[2]))
-        if cls is not None:  # a quantifier
-            self.pos += 1
+            cls = ContextGuard if word in self.contexts else PredicateApp
+            return cls(word, words[pos + 2], (self.tokens, pos, pos + 3))
+        cls = _PREFIX.get(word)
+        if cls is None and word != "(":
+            self.fail(_OPERAND_START)
+        self.pos += 1
+        if cls is not None and cls is not Not:  # a quantifier's variable and dot
             var = self.expect("ident")
             self.expect("dot")
-            body = self.nested(pos, self.formula)
-            return cls(var, body, (self.tokens, pos, body._span[2]))
-        if kind == "lparen":
-            self.pos += 1
-            inner = self.nested(pos, self.formula)
+        if self.depth == MAX_DEPTH:
+            raise _too_deep(self.tokens[pos].span)
+        self.depth += 1
+        self.operators += 1
+        if cls is None:  # a parenthesis
+            node = self.formula()
             self.expect("rparen")
-            return inner
-        self.fail(_OPERAND_START)
-        raise AssertionError("unreachable")
+        elif cls is Not:
+            operand = self.unary()
+            node = Not(operand, (self.tokens, pos, operand._span[2]))
+        else:
+            body = self.formula()
+            node = cls(var, body, (self.tokens, pos, body._span[2]))
+        self.depth -= 1
+        return node
 
 
 def _parse_tokens(tokens: Tokens, contexts: frozenset[str], require_closed: bool) -> Formula:
     parser = _Parser(tokens, contexts)
     f = parser.formula()
-    if parser.kinds[parser.pos] != "eof":
+    if parser.words[parser.pos] != "":
         parser.fail({"eof"})
-    tokens.words = tokens.kinds = None  # the nodes' spans need only the text
+    tokens.words = None  # the nodes' spans need only the text
     if parser.operators >= MAX_DEPTH:  # fewer cannot build a deeper tree
         _check_height(f)
     if require_closed:

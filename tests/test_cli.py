@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import OrderedDict, namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -204,6 +206,61 @@ def test_error_offsets_count_the_bytes_of_the_file(capsys, monkeypatch, tmp_path
         "start": start, "end": start + len(at_fault), "line": line, "column": column
     }
     assert err.startswith(f"{line}:{column}: error: ")
+
+
+# A formula file that is not UTF-8: its text, the bad bytes' span, its line and column.
+_NOT_UTF8 = {
+    "LF": (b"p(x)\n\xff\n", 5, 6, 2, 1),
+    "CRLF": (b"p(x)\r\n  \xc3(x)\r\n", 8, 9, 2, 3),
+    "CR": (b"p(x)\r\xe2\x88\x80x. q(x) \xed\xa0\x80\r", 16, 17, 2, 10),
+    "a lone surrogate": (b"\xe2\x88\x80x. q(x) & \xed\xa0\x80", 13, 14, 1, 12),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("command", ["parse", "eval"])
+@pytest.mark.parametrize("case", _NOT_UTF8)
+def test_a_formula_file_not_in_utf8_is_a_parse_error_at_the_bad_byte(
+        capsys, monkeypatch, tmp_path, cat_files, command, source, case):
+    data, start, end, line, column = _NOT_UTF8[case]
+    path = tmp_path / "bad.lgc"
+    path.write_bytes(data)
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    name = str(path) if source == "file" else "-"
+    argv = [command, name] + (["--model", str(cat_files[0])] if command == "eval" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EX_ERROR
+    error = json.loads(out)["error"]
+    assert error["kind"] == "ParseError"
+    assert error["message"].startswith(f"{name}: byte {start} is not UTF-8 (")
+    assert error["span"] == {"start": start, "end": end, "line": line, "column": column}
+    assert err == f"{line}:{column}: error: {error['message']}\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("role", ["eval --model", "classify --model", "classify judgments"])
+def test_a_json_input_not_in_utf8_is_a_model_error(capsys, monkeypatch, tmp_path, cat_files,
+                                                  role, source):
+    data = json.dumps(CAT_MODEL if "model" in role else CAT_OPEN_ALIVE).encode()
+    at = data.index(b"box_open") + 3
+    data = data[:at] + b"\xff" + data[at:]
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    bad = str(path) if source == "file" else "-"
+    formulas = tmp_path / "one.lgc"
+    formulas.write_text("forall x. alive(x)\n")
+    model, judgments = str(cat_files[0]), str(cat_files[1])
+    argv = {"eval --model": ["eval", str(formulas), "--model", bad],
+            "classify --model": ["classify", judgments, "--model", bad],
+            "classify judgments": ["classify", bad, "--model", model]}[role]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EX_ERROR
+    message = f"{bad}: byte {at} is not UTF-8 (invalid start byte)"
+    assert json.loads(out) == {"error": {"kind": "ModelError", "message": message, "span": None}}
+    assert err == f"error: {message}\n"
 
 
 def test_parse_dumps_ast(capsys, tmp_path):
@@ -935,6 +992,26 @@ def test_encoder_rejects_keys_as_stock_json_does(value):
     with pytest.raises(TypeError) as got:
         json.dumps(value, indent=2, ensure_ascii=False, cls=cli._Encoder)
     assert str(got.value) == str(want.value)
+
+
+def test_encoding_peaks_under_twice_its_output(big_formulas):
+    # The writer fills one buffer: it keeps no string per item until a join.
+    _, output = cli._cmd_parse(SimpleNamespace(paths=[big_formulas], format="json"), [])
+
+    def encode():
+        return json.dumps(output, indent=2, ensure_ascii=False, cls=cli._Encoder)
+
+    encode()  # one-off allocations of a first call
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        text = encode()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.isascii() and len(text) > 1_000_000
+    assert peak - before < 2 * len(text)
 
 
 @pytest.mark.parametrize("nested", ["model", "judgments"])

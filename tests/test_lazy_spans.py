@@ -259,7 +259,6 @@ def test_tokens_read_like_the_token_list():
     assert tokens[0] == eager[0] and tokens[-1] == eager[-1]
     assert tokens[2:5] == eager[2:5] and isinstance(tokens[2:5], list)
     assert tokens.words == [tok.text for tok in eager]
-    assert tokens.kinds == [tok.kind for tok in eager]
 
 
 def test_unexpected_character_raises_from_tokenize():
