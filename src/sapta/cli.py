@@ -154,8 +154,12 @@ def _parse_args(argv: list[str]):
 # The commands' callees.  Each looks its name up in the package when it is
 # called, and the package loads it from its home module on first use, so that
 # a command loads only the modules it runs (only `scenario cat --open --trials`
-# loads numpy).  They stay names of this module so that a caller can rebind
-# them, as the traced benchmark replay and the tests do.
+# loads numpy).  Each command lives in a module of its own under `commands`,
+# which `_run` loads when the command runs and hands this module; the command
+# calls its callees as this module's names, `cli.pretty(...)`, when it runs.
+# They stay names of this module, and `json` too, so that a caller can rebind
+# them, as the traced benchmark replay and the tests do; no command imports a
+# callee from its home module.
 
 
 def _deferred(path: str):
@@ -332,6 +336,8 @@ def _read_json(path: str, keep: list):
         data = json.loads(text)
     except RecursionError:  # the decoder recurses once per nested array or object
         raise ModelError(f"{path}: JSON nested too deeply") from None
+    except json.JSONDecodeError as exc:  # its message gives the line and column
+        raise ModelError(f"{path}: {exc}") from None
     keep.append(data)
     return data
 
@@ -342,17 +348,6 @@ def _load_model(path: str, keep: list):
     return model
 
 
-def _model_metadata(model) -> dict:
-    from . import trivalent
-
-    return {
-        "connectives": trivalent.CONNECTIVES,
-        "implication": trivalent.IMPLICATION,
-        "valuationDefault": "U",
-        "defaultedValuationEntries": model.defaulted_valuations,
-    }
-
-
 def _class_text(cls) -> str:
     from . import SANSKRIT_NAMES
 
@@ -360,176 +355,26 @@ def _class_text(cls) -> str:
     return f"{cls.tag.value} ({name})" if name else cls.tag.value
 
 
-# ---------------------------------------------------------------------------
-# Commands.  Each returns its exit code and its output, the JSON object or
-# the lines of text, and writes nothing: _run writes the output.  Each appends
-# to `keep` what it decoded or built and still holds when it returns, so that
-# the caller decides when that is freed (see _run).
-
-
-def _label(path: str, nf) -> str:
-    return nf.name or f"{path}:{nf.line}"
-
-
-def _cmd_parse(args, keep: list) -> tuple[int, dict | list[str]]:
-    text = args.format == "text"
-    out = []
-    keep.append(out)
-    for path in args.paths:
-        for nf in parse_formula_file(_read(path)):
-            if text:
-                out.append(f"{_label(path, nf)}: {pretty(nf.formula)}")
-            else:
-                out.append({"path": path, "name": nf.name, "line": nf.line,
-                            "pretty": pretty(nf.formula), "ast": ast_to_dict(nf.formula)})
-    return EX_OK, out if text else {"formulas": out}
-
-
-def _cmd_eval(args, keep: list) -> tuple[int, dict | list[str]]:
-    model = _load_model(args.model, keep)
-    text = args.format == "text"
-    paint = _painter() if text else None
-    out = []
-    keep.append(out)
-    for path in args.paths:
-        for nf in parse_formula_file(_read(path), require_closed=True):
-            value = evaluate(nf.formula, model, incompat_mode=args.incompat).value
-            if text:
-                out.append(f"{_label(path, nf)}: {paint(value)}")
-            else:
-                out.append({"path": path, "name": nf.name, "line": nf.line,
-                            "pretty": pretty(nf.formula), "value": value})
-    if text:
-        return EX_OK, out
-    metadata = _model_metadata(model)
-    metadata["incompatibilityMode"] = args.incompat
-    return EX_OK, {"results": out, "metadata": metadata}
-
-
-def _cmd_classify(args, keep: list) -> tuple[int, dict | list[str]]:
-    from . import schema_formula_for
-
-    path = args.judgments_path or args.judgments
-    if path is None or (args.judgments_path and args.judgments):
-        raise SaptaError("give the judgment file either positionally or via --judgments")
-    model = _load_model(args.model, keep)
-    judgments = judgments_from_json(_read_json(path, keep))
-    keep.append(judgments)
-    predicate = args.predicate
-    if predicate is None:
-        names = sorted({j.predicate for j in judgments})
-        if len(names) != 1:
-            raise SaptaError(
-                f"--predicate required: judgment set mentions {len(names)} predicates {names}"
-            )
-        predicate = names[0]
-    cls = classify(judgments, model, predicate)
-    formula = schema_formula_for(cls, predicate)
-    schema_text = pretty(formula) if formula is not None else None
-    if args.format == "text":
-        lines = [_class_text(cls)]
-        if cls.contexts_used:
-            lines.append("contexts: " + ", ".join(cls.contexts_used))
-        if schema_text:
-            lines.append("schema: " + schema_text)
-        return EX_OK, lines
-    out = cls.to_json()
-    out["schemaFormula"] = schema_text
-    out["metadata"] = _model_metadata(model)
-    return EX_OK, out
-
-
-def _build_scenario(args):
-    if args.name == "double_slit":
-        return scenario_double_slit(
-            args.one_slit_observed, args.one_slit_unobserved, args.two_slits_unobserved
-        )
-    if args.name == "cat":
-        return scenario_cat(args.open, args.seed, args.trials)
-    if args.name == "wigner":
-        return scenario_wigner(args.perspective, args.friend_outcome)
-    if args.name == "epr":
-        return scenario_epr(args.basis)
-    if args.name == "qcc":
-        return scenario_qcc()
-    return scenario_threshold(args.levels, args.lower_cut, args.upper_cut)
-
-
-def _cmd_scenario(args, keep: list) -> tuple[int, dict | list[str]]:
-    report = _build_scenario(args)
-    keep.append(report)
-    if args.format == "json":
-        out = report.to_json()
-        out["metadata"] = {"seed": args.seed}
-        return EX_OK, out
-    paint = _painter()
-    return EX_OK, [
-        f"scenario: {report.scenario_name}",
-        *(f"  {j.context}: {j.predicate} = {paint(j.value.value)}" for j in report.judgments),
-        f"expected: {_class_text(report.expected_class)}",
-        *(f"  {name} = {value}" for name, value in report.numeric_witness.items()),
-    ]
-
-
-def _cmd_corpus(args, keep: list) -> tuple[int, dict | list[str]]:
-    from .scenarios import CORPUS_ORDER
-
-    results = run_corpus(args.seed)
-    keep.append(results)
-    ok = all(r.match for r in results)
-    code = EX_OK if ok else EX_MISMATCH
-    if args.format == "json":
-        return code, {
-            "results": [r.to_json() for r in results],
-            "allMatch": ok,
-            "metadata": {"seed": args.seed, "order": list(CORPUS_ORDER)},
-        }
-    return code, [
-        *(f"{r.name}: expected {_class_text(r.report.expected_class)}, "
-          f"classified {_class_text(r.classified)}, {'ok' if r.match else 'MISMATCH'}"
-          for r in results),
-        f"{sum(r.match for r in results)}/{len(results)} scenarios match",
-    ]
-
-
-def _cmd_exclusivity(args, keep: list) -> tuple[int, dict | list[str]]:
-    rows = mutual_exclusivity_certificate()
-    keep.append(rows)
-    distinct = sum(1 for r in rows if r.verdict == "distinct")
-    code = EX_OK if distinct == len(rows) else EX_ERROR
-    if args.format == "json":
-        return code, {
-            "rows": [r.to_json() for r in rows],
-            "allDistinct": distinct == len(rows),
-            "distinct": distinct,
-            "total": len(rows),
-        }
-    return code, [
-        *(f"{r.first.value}/{r.second.value}: {r.verdict} ({r.reason})" for r in rows),
-        f"{distinct}/{len(rows)} distinct",
-    ]
-
-
-# The command line: command -> (its function, its help line, its positional, its
-# flags, to which every command adds _FORMAT).  A positional is (name, "+", "?" or
-# a tuple of choices, help).  A flag is (flag, default, kind, help) and sets the
-# field named as the flag without its dashes, '_' for '-'.  Its kind is a tuple of
-# choices, a converter, or None for a switch, which sets True; a switch whose
-# default is True also has a --no- form, which sets False.
+# The command line: command -> (its module under `commands`, its help line, its
+# positional, its flags, to which every command adds _FORMAT).  A positional is
+# (name, "+", "?" or a tuple of choices, help).  A flag is (flag, default, kind,
+# help) and sets the field named as the flag without its dashes, '_' for '-'.
+# Its kind is a tuple of choices, a converter, or None for a switch, which sets
+# True; a switch whose default is True also has a --no- form, which sets False.
 _REQUIRED = object()  # the default of a flag that must be given
 _FORMAT = ("--format", "json", ("json", "text"), "output format")
 _PATHS = ("paths", "+", "formula files ('-' for stdin)")
 _MODEL = ("--model", _REQUIRED, str, "model JSON file")
 _SEED = ("--seed", 0, _non_negative_int, "non-negative sampling seed")
 _COMMANDS = {
-    "parse": (_cmd_parse, "parse formula files and dump ASTs", _PATHS, ()),
-    "eval": (_cmd_eval, "evaluate formulas over a model", _PATHS, (_MODEL, ("--incompat", "relational",
+    "parse": ("parse", "parse formula files and dump ASTs", _PATHS, ()),
+    "eval": ("eval", "evaluate formulas over a model", _PATHS, (_MODEL, ("--incompat", "relational",
         ("relational", "extensional"), "reading of guard-incompatibility clauses"))),
-    "classify": (_cmd_classify, "classify a judgment set",
+    "classify": ("classify", "classify a judgment set",
                  ("judgments_path", "?", "judgment set JSON file ('-' for stdin)"), (
         ("--judgments", None, str, "judgment set JSON file (alternative spelling)"), _MODEL,
         ("--predicate", None, str, "predicate to classify (inferred when unique)"))),
-    "scenario": (_cmd_scenario, "run one built-in scenario", ("name", SCENARIO_NAMES, "the scenario"), (
+    "scenario": ("scenario", "run one built-in scenario", ("name", SCENARIO_NAMES, "the scenario"), (
         _SEED,
         ("--open", False, None, "cat: open the box"),
         ("--trials", None, _trial_count, f"cat: sample this many outcomes, at most {MAX_TRIALS}"),
@@ -542,8 +387,8 @@ _COMMANDS = {
         ("--upper-cut", 0.7, float, "threshold: an intensity above it is a yes (T)"),
         *((f"--{flag}", True, None, "double_slit: include this context")
           for flag in ("one-slit-observed", "one-slit-unobserved", "two-slits-unobserved")))),
-    "corpus": (_cmd_corpus, "run all scenarios against expected classes", None, (_SEED,)),
-    "exclusivity": (_cmd_exclusivity, "21-row mutual exclusivity certificate", None, ()),
+    "corpus": ("corpus", "run all scenarios against expected classes", None, (_SEED,)),
+    "exclusivity": ("exclusivity", "21-row mutual exclusivity certificate", None, ()),
 }
 
 
@@ -586,8 +431,12 @@ def _run(argv: list[str] | None, keep: list) -> int:
             _write({"error": {"kind": "UsageError", "message": str(exc), "span": None}})
         _warn(f"usage error: {exc}")
         return EX_USAGE
-    try:  # the help lines are the output of -h or --help
-        code, output = (EX_OK, args) if type(args) is list else _COMMANDS[args.command][0](args, keep)
+    try:
+        if type(args) is list:  # the help lines are the output of -h or --help
+            code, output = EX_OK, args
+        else:  # this module is `__main__` under `python -m sapta.cli`
+            command = __import__("commands." + _COMMANDS[args.command][0], globals(), None, ("run",), 1)
+            code, output = command.run(sys.modules[__name__], args, keep)
     # ModuleNotFoundError: numpy is missing and `scenario cat --trials` needs it.
     except (SaptaError, OSError, ValueError, ModuleNotFoundError) as exc:
         span = getattr(exc, "span", None)

@@ -263,6 +263,26 @@ def test_a_json_input_not_in_utf8_is_a_model_error(capsys, monkeypatch, tmp_path
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('{"a": }', "Expecting value: line 1 column 7 (char 6)"),
+    ("\ufeff" + json.dumps(CAT_MODEL), "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+], ids=["syntax", "bom"])
+def test_a_json_syntax_error_names_its_file(capsys, tmp_path, cat_files, text, reason):
+    # classify reads two JSON files; the error names the one that is malformed.
+    model, judgments = map(str, cat_files)
+    bad_model, bad_judgments = tmp_path / "bad_model.json", tmp_path / "bad_judgments.json"
+    for path in (bad_model, bad_judgments):
+        path.write_text(text, encoding="utf-8")
+    for argv, bad in [(["classify", str(bad_judgments), "--model", str(bad_model)], bad_model),
+                      (["classify", str(bad_judgments), "--model", model], bad_judgments),
+                      (["classify", judgments, "--model", str(bad_model)], bad_model)]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EX_ERROR
+        message = f"{bad}: {reason}"
+        assert json.loads(out) == {"error": {"kind": "ModelError", "message": message, "span": None}}
+        assert err == f"error: {message}\n"
+
+
 def test_parse_dumps_ast(capsys, tmp_path):
     src = tmp_path / "f.lgc"
     src.write_text("let s1 = forall x. (c(x) -> p(x))\n")
@@ -322,17 +342,47 @@ def test_text_output_computes_only_what_it_prints(capsys, monkeypatch, argv, unp
     assert want[0] == EX_OK and want[1].count("\n") == 6
 
 
+# The names of the CLI module that the traced benchmark replay rebinds
+# (benchmarks/tracing.py, `instrumented`), besides `json` and `Model`.
+_REPLAY_CALLEES = (
+    "parse_formula_file", "evaluate", "pretty", "ast_to_dict", "judgments_from_json", "classify",
+    "mutual_exclusivity_certificate", "run_corpus", *(f"scenario_{name}" for name in SCENARIO_NAMES),
+)
+_WEAK_VALUES = ["weak_value"] * 4  # the Cheshire cat's four, through `sapta.scenarios`
+
+
 @pytest.mark.parametrize("argv, wanted", [
-    (["parse", GOLDEN_FORMULAS], ["pretty", "ast_to_dict"] * 6),
-    (["eval", GOLDEN_FORMULAS, "--model", GOLDEN_MODEL], ["pretty"] * 6),
-])
-def test_json_output_calls_the_names_the_traced_replay_wraps(capsys, monkeypatch, argv, wanted):
+    (["parse", GOLDEN_FORMULAS], ["parse_formula_file", *["pretty", "ast_to_dict"] * 6]),
+    (["eval", GOLDEN_FORMULAS, "--model", GOLDEN_MODEL],
+     ["json.loads", "Model.from_json", "parse_formula_file", *["evaluate", "pretty"] * 6]),
+    (["classify", "JUDGMENTS", "--model", "MODEL"],
+     ["json.loads", "Model.from_json", "json.loads", "judgments_from_json", "classify", "pretty"]),
+    (["exclusivity"], ["mutual_exclusivity_certificate"]),
+    (["corpus"], ["run_corpus", *_WEAK_VALUES]),
+    *((["scenario", name], [f"scenario_{name}", *(_WEAK_VALUES if name == "qcc" else [])])
+      for name in SCENARIO_NAMES),
+], ids=["parse", "eval", "classify", "exclusivity", "corpus", *SCENARIO_NAMES])
+def test_json_output_calls_the_names_the_traced_replay_wraps(capsys, monkeypatch, cat_files, argv, wanted):
+    # The replay times a layer by rebinding its name for the length of a pass,
+    # so each command must call every callee through those names, when it runs.
+    import sapta.scenarios as scenarios
+
     calls = []
-    for name in ("pretty", "ast_to_dict"):
+    monkeypatch.setattr(cli, "json", SimpleNamespace(
+        loads=_counting(calls, "json.loads", json.loads),
+        dumps=_counting(calls, "json.dumps", json.dumps),
+        JSONDecodeError=json.JSONDecodeError,
+    ))
+    monkeypatch.setattr(cli, "Model", SimpleNamespace(
+        from_json=_counting(calls, "Model.from_json", cli.Model.from_json)))
+    for name in _REPLAY_CALLEES:
         monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
+    monkeypatch.setattr(scenarios, "weak_value", _counting(calls, "weak_value", scenarios.weak_value))
+    model, judgments = cat_files
+    argv = [{"MODEL": str(model), "JUDGMENTS": str(judgments)}.get(word, word) for word in argv]
     code, _, _ = run_cli(capsys, *argv)
     assert code == EX_OK
-    assert calls == wanted
+    assert calls == [*wanted, "json.dumps"]
 
 
 class TerminalStdout(io.StringIO):
@@ -646,7 +696,11 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
     # Only the commands that read JSON input load its decoder (`inputs`),
     # only `exclusivity` the certificate, only an opened box and the corpus
     # the cat's draws (`sampling`), only a P1-P7 `classify` the schemas, and
-    # only -h or --help the help writer (`helptext`).
+    # only -h or --help the help writer (`helptext`).  A command loads its
+    # own module under `sapta.commands` and no other command's; a scenario
+    # loads its own generator under `sapta.scenarios` and no other one, and
+    # `threshold`, which uses no state vector, no `quantum`; the corpus loads
+    # every generator.
     # No run, a usage error or --help included, loads argparse, gettext or
     # locale (see _loaded_modules).
     model, judgments = cat_files
@@ -670,11 +724,15 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
     parsing = based | {"sapta.formulas", "sapta.parser"}
     modelled = based | {"sapta.semantics", "sapta.trivalent"}
     judged = modelled | {"sapta.predication"}
-    scenarios = judged | {"sapta.quantum", "sapta.scenarios"}
     read = {"sapta.inputs"}
-    drawn = scenarios | {"sapta.sampling"}
+    generators = {f"sapta.scenarios.{name}" for name in SCENARIO_NAMES}
+    drawn = judged | generators | {"sapta.quantum", "sapta.scenarios", "sapta.sampling"}
+
+    def scenario(name: str) -> set[str]:
+        quantum = set() if name == "threshold" else {"sapta.quantum"}
+        return judged | quantum | {"sapta.scenarios", f"sapta.scenarios.{name}"}
+
     cases = [
-        ([], startup),
         (["parse", str(formulas)], parsing),
         (["eval", str(formulas), "--model", str(model)], modelled | parsing | read | {"sapta.evaluation"}),
         (["classify", str(judgments), "--model", str(model)],
@@ -682,10 +740,13 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
         (["classify", str(conflicting), "--model", str(model)], judged | read),
         (["exclusivity"], judged | {"sapta.certificate"}),
     ]
-    cases += [(["scenario", name], scenarios) for name in SCENARIO_NAMES]
-    cases += [(["scenario", "cat", "--open", "--seed", "7"], drawn), (["corpus"], drawn)]
+    cases += [(["scenario", name], scenario(name)) for name in SCENARIO_NAMES]
+    cases += [(["scenario", "cat", "--open", "--seed", "7"], scenario("cat") | {"sapta.sampling"}),
+              (["corpus"], drawn | {"sapta.scenarios.corpus"})]
+    assert _loaded_modules("-c", code, str(EX_OK)) == startup
     for argv, loaded in cases:
-        assert _loaded_modules("-c", code, str(EX_OK), *argv) == loaded, argv
+        command = {"sapta.commands", f"sapta.commands.{argv[0]}"}
+        assert _loaded_modules("-c", code, str(EX_OK), *argv) == loaded | command, argv
     # A usage error loads nothing past the startup modules, and help only
     # the help writer.
     for argv, exit_code, loaded in [
@@ -996,7 +1057,9 @@ def test_encoder_rejects_keys_as_stock_json_does(value):
 
 def test_encoding_peaks_under_twice_its_output(big_formulas):
     # The writer fills one buffer: it keeps no string per item until a join.
-    _, output = cli._cmd_parse(SimpleNamespace(paths=[big_formulas], format="json"), [])
+    from sapta.commands import parse
+
+    _, output = parse.run(cli, SimpleNamespace(paths=[big_formulas], format="json"), [])
 
     def encode():
         return json.dumps(output, indent=2, ensure_ascii=False, cls=cli._Encoder)
