@@ -104,7 +104,7 @@ def _parse_args(argv: list[str]):
         raise _UsageError("the following arguments are required: command")
     command = _value("command", argv[at], tuple(_COMMANDS))
     words, unknown = iter(argv[at + 1:]), argv[:at]
-    _, _, positional, flags = _COMMANDS[command]
+    _, positional, flags = _COMMANDS[command]
     args = {"command": command}
     named = {}  # a flag's word -> (its field, its value's kind, what a switch sets)
     for flag, default, kind, _ in (*flags, _FORMAT):
@@ -151,48 +151,25 @@ def _parse_args(argv: list[str]):
 
 
 # ---------------------------------------------------------------------------
-# The commands' callees.  Each looks its name up in the package when it is
-# called, and the package loads it from its home module on first use, so that
-# a command loads only the modules it runs (only `scenario cat --open --trials`
-# loads numpy).  Each command lives in a module of its own under `commands`,
-# which `_run` loads when the command runs and hands this module; the command
-# calls its callees as this module's names, `cli.pretty(...)`, when it runs.
-# They stay names of this module, and `json` too, so that a caller can rebind
-# them, as the traced benchmark replay and the tests do; no command imports a
-# callee from its home module.
+# The commands' callees.  Each command lives in a module of its own under
+# `commands`, which `_run` loads when the command runs and hands this module;
+# the command calls its callees as this module's names, `cli.pretty(...)`, and
+# `json` too, so that a caller can rebind them, as the traced benchmark replay
+# and the tests do.  A callee is read from the package, which loads it from
+# its home module, on the first read of its name here, so that a command loads
+# only the modules it runs (only `scenario cat --open --trials` loads numpy).
+_CALLEES = (
+    "Model", "parse_formula_file", "evaluate", "pretty", "ast_to_dict", "judgments_from_json",
+    "classify", "mutual_exclusivity_certificate", "run_corpus",
+    *(f"scenario_{name}" for name in SCENARIO_NAMES),
+)
 
 
-def _deferred(path: str):
-    """A function that calls the package's name ``path``, or for
-    ``"Model.from_json"`` that name's attribute, as it is when called."""
-    package = sys.modules[__package__]
-    name, _, attr = path.partition(".")
-
-    def call(*args, **kwargs):
-        target = getattr(package, name)
-        return (getattr(target, attr) if attr else target)(*args, **kwargs)
-
-    return call
-
-
-class Model:
-    from_json = _deferred("Model.from_json")
-
-
-parse_formula_file = _deferred("parse_formula_file")
-evaluate = _deferred("evaluate")
-pretty = _deferred("pretty")
-ast_to_dict = _deferred("ast_to_dict")
-judgments_from_json = _deferred("judgments_from_json")
-classify = _deferred("classify")
-mutual_exclusivity_certificate = _deferred("mutual_exclusivity_certificate")
-run_corpus = _deferred("run_corpus")
-scenario_double_slit = _deferred("scenario_double_slit")
-scenario_cat = _deferred("scenario_cat")
-scenario_wigner = _deferred("scenario_wigner")
-scenario_epr = _deferred("scenario_epr")
-scenario_qcc = _deferred("scenario_qcc")
-scenario_threshold = _deferred("scenario_threshold")
+def __getattr__(name: str):
+    if name not in _CALLEES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +319,6 @@ def _read_json(path: str, keep: list):
     return data
 
 
-def _load_model(path: str, keep: list):
-    model = Model.from_json(_read_json(path, keep))
-    keep.append(model)
-    return model
-
-
 def _class_text(cls) -> str:
     from . import SANSKRIT_NAMES
 
@@ -355,26 +326,27 @@ def _class_text(cls) -> str:
     return f"{cls.tag.value} ({name})" if name else cls.tag.value
 
 
-# The command line: command -> (its module under `commands`, its help line, its
-# positional, its flags, to which every command adds _FORMAT).  A positional is
-# (name, "+", "?" or a tuple of choices, help).  A flag is (flag, default, kind,
-# help) and sets the field named as the flag without its dashes, '_' for '-'.
-# Its kind is a tuple of choices, a converter, or None for a switch, which sets
-# True; a switch whose default is True also has a --no- form, which sets False.
+# The command line: command -> (its help line, its positional, its flags, to
+# which every command adds _FORMAT); it runs in its namesake module under
+# `commands`.  A positional is (name, "+", "?" or a tuple of choices, help).
+# A flag is (flag, default, kind, help) and sets the field named as the flag
+# without its dashes, '_' for '-'.  Its kind is a tuple of choices, a
+# converter, or None for a switch, which sets True; a switch whose default is
+# True also has a --no- form, which sets False.
 _REQUIRED = object()  # the default of a flag that must be given
 _FORMAT = ("--format", "json", ("json", "text"), "output format")
 _PATHS = ("paths", "+", "formula files ('-' for stdin)")
 _MODEL = ("--model", _REQUIRED, str, "model JSON file")
 _SEED = ("--seed", 0, _non_negative_int, "non-negative sampling seed")
 _COMMANDS = {
-    "parse": ("parse", "parse formula files and dump ASTs", _PATHS, ()),
-    "eval": ("eval", "evaluate formulas over a model", _PATHS, (_MODEL, ("--incompat", "relational",
+    "parse": ("parse formula files and dump ASTs", _PATHS, ()),
+    "eval": ("evaluate formulas over a model", _PATHS, (_MODEL, ("--incompat", "relational",
         ("relational", "extensional"), "reading of guard-incompatibility clauses"))),
-    "classify": ("classify", "classify a judgment set",
+    "classify": ("classify a judgment set",
                  ("judgments_path", "?", "judgment set JSON file ('-' for stdin)"), (
         ("--judgments", None, str, "judgment set JSON file (alternative spelling)"), _MODEL,
         ("--predicate", None, str, "predicate to classify (inferred when unique)"))),
-    "scenario": ("scenario", "run one built-in scenario", ("name", SCENARIO_NAMES, "the scenario"), (
+    "scenario": ("run one built-in scenario", ("name", SCENARIO_NAMES, "the scenario"), (
         _SEED,
         ("--open", False, None, "cat: open the box"),
         ("--trials", None, _trial_count, f"cat: sample this many outcomes, at most {MAX_TRIALS}"),
@@ -387,8 +359,8 @@ _COMMANDS = {
         ("--upper-cut", 0.7, float, "threshold: an intensity above it is a yes (T)"),
         *((f"--{flag}", True, None, "double_slit: include this context")
           for flag in ("one-slit-observed", "one-slit-unobserved", "two-slits-unobserved")))),
-    "corpus": ("corpus", "run all scenarios against expected classes", None, (_SEED,)),
-    "exclusivity": ("exclusivity", "21-row mutual exclusivity certificate", None, ()),
+    "corpus": ("run all scenarios against expected classes", None, (_SEED,)),
+    "exclusivity": ("21-row mutual exclusivity certificate", None, ()),
 }
 
 
@@ -399,6 +371,15 @@ def _error_payload(exc: Exception) -> dict:
     if isinstance(exc, ParseError) and exc.expected:
         payload["expected"] = sorted(exc.expected)
     return payload
+
+
+def _check_stdin_once(args) -> None:
+    """Raise _UsageError when a command line names standard input, '-', as
+    more than one of its inputs: the first would read all of it."""
+    fields = vars(args)
+    inputs = [*fields.get("paths", ()), *map(fields.get, ("model", "judgments_path", "judgments"))]
+    if inputs.count("-") > 1:
+        raise _UsageError("standard input '-' is named more than once; it can be read only once")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -416,6 +397,8 @@ def _run(argv: list[str] | None, keep: list) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse_args(argv)
+        if type(args) is not list:
+            _check_stdin_once(args)
     except _UsageError as exc:
         # No parsed args on this path: the last --format before any `--`
         # counts; after `--`, every word is a positional.
@@ -435,7 +418,7 @@ def _run(argv: list[str] | None, keep: list) -> int:
         if type(args) is list:  # the help lines are the output of -h or --help
             code, output = EX_OK, args
         else:  # this module is `__main__` under `python -m sapta.cli`
-            command = __import__("commands." + _COMMANDS[args.command][0], globals(), None, ("run",), 1)
+            command = __import__("commands." + args.command, globals(), None, ("run",), 1)
             code, output = command.run(sys.modules[__name__], args, keep)
     # ModuleNotFoundError: numpy is missing and `scenario cat --trials` needs it.
     except (SaptaError, OSError, ValueError, ModuleNotFoundError) as exc:

@@ -19,6 +19,12 @@ def _label(path: str, nf) -> str:
     return nf.name or f"{path}:{nf.line}"
 
 
+def _load_model(cli, path: str, keep: list):
+    model = cli.Model.from_json(cli._read_json(path, keep))
+    keep.append(model)
+    return model
+
+
 def _model_metadata(model) -> dict:
     from .. import trivalent
 

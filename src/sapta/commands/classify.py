@@ -3,14 +3,14 @@ from __future__ import annotations
 
 from .. import schema_formula_for
 from ..errors import SaptaError
-from . import _model_metadata
+from . import _load_model, _model_metadata
 
 
 def run(cli, args, keep: list) -> tuple[int, dict | list[str]]:
     path = args.judgments_path or args.judgments
     if path is None or (args.judgments_path and args.judgments):
         raise SaptaError("give the judgment file either positionally or via --judgments")
-    model = cli._load_model(args.model, keep)
+    model = _load_model(cli, args.model, keep)
     judgments = cli.judgments_from_json(cli._read_json(path, keep))
     keep.append(judgments)
     predicate = args.predicate

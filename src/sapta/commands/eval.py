@@ -1,11 +1,11 @@
 """`sapta eval`: each closed formula's truth value over a model."""
 from __future__ import annotations
 
-from . import _label, _model_metadata
+from . import _label, _load_model, _model_metadata
 
 
 def run(cli, args, keep: list) -> tuple[int, dict | list[str]]:
-    model = cli._load_model(args.model, keep)
+    model = _load_model(cli, args.model, keep)
     text = args.format == "text"
     paint = cli._painter() if text else None
     out = []

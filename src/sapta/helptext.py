@@ -18,9 +18,9 @@ def help_lines(cli: ModuleType, command: str | None) -> list[str]:
     """
     if command is None:
         usage, summary = "usage: sapta COMMAND [options]", cli.__doc__.split("\n")[0]
-        rows = [(name, spec[1]) for name, spec in cli._COMMANDS.items()]
+        rows = [(name, spec[0]) for name, spec in cli._COMMANDS.items()]
     else:
-        _, summary, positional, flags = cli._COMMANDS[command]
+        summary, positional, flags = cli._COMMANDS[command]
         usage, rows = f"usage: sapta {command} [options]", []
         if positional:
             name, takes, text = positional

@@ -4,7 +4,9 @@ written apart from `predication`.
 `classify` runs on every assignment of nothing, one value or two values to
 each of up to four contexts, under every incompatibility relation on them,
 once with the relation held as a byte map and once as a set of keys.
-`entails` runs on every list of up to three judgments over two contexts.
+Every P1-P7 verdict on three contexts has its schema evaluate to T on the
+one-entity model that mirrors its judgments.  `entails` runs on every list of
+up to three judgments over two contexts.
 """
 from __future__ import annotations
 
@@ -12,7 +14,10 @@ from itertools import combinations, product
 
 import pytest
 
+from sapta.evaluation import evaluate
 from sapta.predication import Entailment, Judgment, classify, entails
+from sapta.records import undet_name
+from sapta.schemas import schema
 from sapta.semantics import ContextDef, Model
 from sapta.trivalent import Tv3
 from test_model_build import classify_oracle  # pairwise, written apart from `predication`
@@ -71,6 +76,40 @@ def test_classify_exhaustive_cases_reach_every_verdict():
     related = {frozenset(pair) for pair in combinations(names[:3], 2)}
     seen = {classify_oracle(js, related, "p")[0] for js in _judgment_sets(names)}
     assert seen == {"Degenerate", "Inconsistent", *(f"P{k}" for k in range(1, 8))}
+
+
+def _mirror(names, related, judgments):
+    """The one-entity model whose valuation of `p` mirrors the judgments, its
+    indeterminacy predicate T exactly where that value is U, as in
+    `induced_model`, under the relation `related`."""
+    u = undet_name("p")
+    valuation = {}
+    for j in judgments:
+        if j.predicate == "p":
+            valuation[(j.context, "e", "p")] = j.value
+            valuation[(j.context, "e", u)] = Tv3.from_bool(j.value is U)
+    contexts = [ContextDef(c, {"e"}) for c in names]
+    return Model(["e"], contexts, ["p", "q", u], valuation, related, background=names[0])
+
+
+def test_every_verdicts_schema_holds_on_the_model_that_mirrors_it():
+    # The schema round trip (criterion 4) on every 3-context case above: a
+    # P_k verdict's schema over its contexts evaluates to T under the
+    # relational reading.  Read extensionally it need not: every context here
+    # holds the one entity, so every incompatibility clause is F.
+    names = CONTEXTS[:3]
+    pairs = list(combinations(names, 2))
+    verdicts = 0
+    for chosen in product((False, True), repeat=len(pairs)):
+        related = [pair for pair, keep in zip(pairs, chosen) if keep]
+        for judgments in _judgment_sets(names):
+            model = _mirror(names, related, judgments)
+            cls = classify(judgments, model, "p")
+            if cls.tag.value[0] == "P":
+                formula = schema(int(cls.tag.value[1:]), cls.contexts_used, "p")
+                assert evaluate(formula, model, incompat_mode="relational") is T, (related, judgments)
+                verdicts += 1
+    assert verdicts == 282
 
 
 _UNIVERSE = [Judgment(c, "p", v) for c in ("c1", "c2") for v in (T, F, U)]

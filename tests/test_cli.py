@@ -1,4 +1,5 @@
 """CLI behaviour: exit codes, JSON-on-every-path, determinism."""
+import importlib
 import io
 import json
 import os
@@ -342,12 +343,6 @@ def test_text_output_computes_only_what_it_prints(capsys, monkeypatch, argv, unp
     assert want[0] == EX_OK and want[1].count("\n") == 6
 
 
-# The names of the CLI module that the traced benchmark replay rebinds
-# (benchmarks/tracing.py, `instrumented`), besides `json` and `Model`.
-_REPLAY_CALLEES = (
-    "parse_formula_file", "evaluate", "pretty", "ast_to_dict", "judgments_from_json", "classify",
-    "mutual_exclusivity_certificate", "run_corpus", *(f"scenario_{name}" for name in SCENARIO_NAMES),
-)
 _WEAK_VALUES = ["weak_value"] * 4  # the Cheshire cat's four, through `sapta.scenarios`
 
 
@@ -375,8 +370,9 @@ def test_json_output_calls_the_names_the_traced_replay_wraps(capsys, monkeypatch
     ))
     monkeypatch.setattr(cli, "Model", SimpleNamespace(
         from_json=_counting(calls, "Model.from_json", cli.Model.from_json)))
-    for name in _REPLAY_CALLEES:
-        monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
+    for name in cli._CALLEES:  # the names benchmarks/tracing.py's `instrumented` rebinds
+        if name != "Model":
+            monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
     monkeypatch.setattr(scenarios, "weak_value", _counting(calls, "weak_value", scenarios.weak_value))
     model, judgments = cat_files
     argv = [{"MODEL": str(model), "JUDGMENTS": str(judgments)}.get(word, word) for word in argv]
@@ -676,6 +672,29 @@ def test_eval_stdin(capsys, monkeypatch, tmp_path, cat_files):
     assert json.loads(out)["results"][0]["value"] == "T"
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "-", "-"],
+    ["eval", "-", "--model", "-"],
+    ["classify", "-", "--model", "-"],
+    ["classify", "--judgments", "-", "--model", "-"],
+])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_stdin_may_be_named_once(capsys, monkeypatch, argv, fmt):
+    # The first input named '-' would read all of stdin and the next one
+    # nothing, so the command line is refused before either is read.
+    stdin = io.TextIOWrapper(io.BytesIO(b"p(x)\n"))
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == EX_USAGE
+    assert stdin.buffer.tell() == 0
+    assert "'-'" in err
+    if fmt == "json":
+        error = json.loads(out)["error"]
+        assert error["kind"] == "UsageError" and "'-'" in error["message"]
+    else:
+        assert out == ""
+
+
 def _child_env():
     return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
@@ -760,6 +779,22 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
     assert _loaded_modules("-c", show) == {"sapta", "sapta.records"}
     show = "import sys, sapta; sapta.undet_name; print(' '.join(sys.modules))"
     assert _loaded_modules("-c", show) == {"sapta", "sapta.records"}
+
+
+def test_each_callee_is_its_home_modules_own_object_once_read():
+    # A bare import of the CLI loads none of its callees' homes.  The first
+    # read of a callee's name loads it and keeps it as the CLI's own name, so
+    # a command's call through that name makes one call, not two.
+    import sapta
+
+    homes = {name: f"sapta.{sapta._HOME[name]}" for name in cli._CALLEES}
+    show = "import sys, sapta.cli; print(' '.join(sys.modules))"
+    assert set(homes.values()).isdisjoint(_loaded_modules("-c", show))
+    for name, home in homes.items():
+        assert getattr(cli, name) is getattr(importlib.import_module(home), name)
+        assert vars(cli)[name] is getattr(cli, name)
+    with pytest.raises(AttributeError):
+        cli.no_such_name
 
 
 # Every name the package exported when its __init__ imported all submodules.
@@ -929,7 +964,9 @@ def test_every_scenario_runs_through_main(capsys, name, fmt):
 
 def test_lazy_loads_show_in_importtime(tmp_path, cat_files):
     # The package loads a name's home module through the import statement's
-    # machinery, which is what `-X importtime` reports on.
+    # machinery, which is what `-X importtime` reports on.  Under `python -m`
+    # the CLI module is `__main__`, and reading its callees loads no second
+    # `sapta.cli`.
     model, _ = cat_files
     formulas = tmp_path / "f.lgc"
     formulas.write_text("forall x. (box_open(x) -> alive(x))\n")
@@ -943,6 +980,7 @@ def test_lazy_loads_show_in_importtime(tmp_path, cat_files):
                               text=True, check=True, env=_child_env())
         listed = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
         assert module in listed, argv
+        assert "sapta.cli" not in listed, argv
 
 
 def test_large_seed_is_accepted(capsys):

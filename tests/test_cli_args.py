@@ -254,7 +254,7 @@ def test_a_bare_double_dash_ends_the_flags():
 def test_help_lists_every_flag_with_its_choices_and_help(capsys, command):
     assert main([command, "--help"]) == EX_OK
     lines = capsys.readouterr().out.splitlines()
-    _, summary, _, flags = _COMMANDS[command]
+    summary, _, flags = _COMMANDS[command]
     assert summary in lines
     for flag, default, kind, text in (*flags, _FORMAT):
         line = next(line for line in lines if line.split()[:1] in ([flag], [flag + ","]))

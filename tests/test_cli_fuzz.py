@@ -161,7 +161,7 @@ def test_fuzz_draws_every_flag_the_parser_declares():
     declared = {
         command: {"--format", *(flag for flag, *_ in flags),
                   *(f"--no-{flag[2:]}" for flag, default, *_ in flags if default is True)}
-        for command, (_, _, _, flags) in _COMMANDS.items()
+        for command, (_, _, flags) in _COMMANDS.items()
     }
     assert declared == {command: {*flags, "--format"} for command, flags in FLAGS.items()}
 

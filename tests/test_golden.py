@@ -91,6 +91,8 @@ USAGE_PINNED = {
     "usage_bad_levels.json": (["scenario", "threshold", "--levels", "0.5,x"], "b6ec6fcd4f5a5722"),
     # After `--` a `--format` is a positional word, not the output format.
     "usage_format_after_double_dash.json": (["corpus", "--", "--format", "text"], "c4d358850ec13a44"),
+    # Standard input is read once: naming it twice is refused before reading it.
+    "usage_stdin_twice.json": (["parse", "-", "-"], "c24fdebece1bb1cd"),
 }
 
 WITNESSES = json.loads((GOLDEN / "canonical_witnesses.json").read_text(encoding="utf-8"))
