@@ -6,7 +6,7 @@ every exit path but ``--help`` prints a JSON object, errors included.  A run
 writes stdout once, after its work is done: each command returns its output,
 and one function writes it, the error object or the help.  Exit codes: 0 on
 success, 1 on syntax/model errors or a failed write, 2 on a corpus mismatch,
-64 on bad flags.  Set SAPTA_COLOR=0 to disable ANSI color in text output.
+64 on a usage error.  Set SAPTA_COLOR=0 to disable ANSI color in text output.
 """
 from __future__ import annotations
 
@@ -31,24 +31,24 @@ EX_MISMATCH = 2
 EX_USAGE = 64
 
 
-class _UsageError(Exception):
-    pass
+class UsageError(SaptaError):
+    """A command line that cannot run: a bad flag, value or input name."""
 
 
 def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise _UsageError(f"invalid int value: {text!r}") from None
+        raise UsageError(f"invalid int value: {text!r}") from None
     if value < 0:
-        raise _UsageError(f"invalid non-negative int value: {text!r}")
+        raise UsageError(f"invalid non-negative int value: {text!r}")
     return value
 
 
 def _trial_count(text: str) -> int:
     value = _non_negative_int(text)
     if value > MAX_TRIALS:
-        raise _UsageError(f"invalid trial count: {text!r} is above {MAX_TRIALS}")
+        raise UsageError(f"invalid trial count: {text!r} is above {MAX_TRIALS}")
     return value
 
 
@@ -56,7 +56,7 @@ def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise _UsageError(f"invalid float list value: {text!r}") from None
+        raise UsageError(f"invalid float list value: {text!r}") from None
 
 
 def _is_value(word: str) -> bool:
@@ -78,21 +78,21 @@ def _value(name: str, word: str, kind):
     `kind` makes of it; as in argparse, its ValueError is "invalid <its name> value"."""
     if type(kind) is tuple:
         if word not in kind:
-            raise _UsageError(f"argument {name}: invalid choice: {word!r} "
-                              f"(choose from {', '.join(map(repr, kind))})")
+            raise UsageError(f"argument {name}: invalid choice: {word!r} "
+                             f"(choose from {', '.join(map(repr, kind))})")
         return word
     try:
         return kind(word)
-    except _UsageError as exc:
-        raise _UsageError(f"argument {name}: {exc}") from None
+    except UsageError as exc:
+        raise UsageError(f"argument {name}: {exc}") from None
     except ValueError:
-        raise _UsageError(f"argument {name}: invalid {kind.__name__} value: {word!r}") from None
+        raise UsageError(f"argument {name}: invalid {kind.__name__} value: {word!r}") from None
 
 
 def _parse_args(argv: list[str]):
     """The namespace of a command line, with `command` and a field for each
     positional and flag of that command, or the help lines when `-h` or
-    `--help` comes first.  Raises _UsageError: at once for a bad value, after
+    `--help` comes first.  Raises UsageError: at once for a bad value, after
     the walk for an unknown flag, a surplus word or a missing argument."""
     # The command is the first value (or `--`); before it, -h is the only flag.
     at = next((i for i, word in enumerate(argv) if _is_value(word) or word == "--"), len(argv))
@@ -101,7 +101,7 @@ def _parse_args(argv: list[str]):
 
         return help_lines(sys.modules[__name__], None)
     if at == len(argv):
-        raise _UsageError("the following arguments are required: command")
+        raise UsageError("the following arguments are required: command")
     command = _value("command", argv[at], tuple(_COMMANDS))
     words, unknown = iter(argv[at + 1:]), argv[:at]
     _, positional, flags = _COMMANDS[command]
@@ -133,20 +133,20 @@ def _parse_args(argv: list[str]):
             flag, has_value, value = word.partition("=")
             dest, kind, on = named[flag]
             if kind is None and has_value:
-                raise _UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+                raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
             if kind is not None and not has_value:
                 value = next(words, "--")  # with no word left, as if a flag came next
                 if not _is_value(value):
-                    raise _UsageError(f"argument {flag}: expected one argument")
+                    raise UsageError(f"argument {flag}: expected one argument")
             args[dest] = on if kind is None else _value(flag, value, kind)
     if name:
         args[name] = taken if takes == "+" else taken[0] if taken else None
     missing = [name] if name and takes != "?" and not taken else []
     missing += [flag for flag, (dest, *_) in named.items() if args[dest] is _REQUIRED]
     if missing:
-        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
     if unknown:
-        raise _UsageError("unrecognized arguments: " + " ".join(unknown))
+        raise UsageError("unrecognized arguments: " + " ".join(unknown))
     return SimpleNamespace(**args)
 
 
@@ -373,13 +373,16 @@ def _error_payload(exc: Exception) -> dict:
     return payload
 
 
-def _check_stdin_once(args) -> None:
-    """Raise _UsageError when a command line names standard input, '-', as
-    more than one of its inputs: the first would read all of it."""
+def _check_inputs(args) -> None:
+    """Raise UsageError when a command line names standard input, '-', as
+    more than one of its inputs, since the first would read all of it, or
+    names classify's judgment file other than exactly once."""
     fields = vars(args)
     inputs = [*fields.get("paths", ()), *map(fields.get, ("model", "judgments_path", "judgments"))]
     if inputs.count("-") > 1:
-        raise _UsageError("standard input '-' is named more than once; it can be read only once")
+        raise UsageError("standard input '-' is named more than once; it can be read only once")
+    if args.command == "classify" and bool(args.judgments_path) == bool(args.judgments):
+        raise UsageError("give the judgment file either positionally or via --judgments")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -390,42 +393,39 @@ def _run(argv: list[str] | None, keep: list) -> int:
     """Run one command line; what the command still holds when it returns
     is appended to ``keep``, and lives as long as the caller holds that.
 
-    Stdout is written once, by ``_write`` after the command has returned or
-    failed, so a failed write raises the stream's own OSError past the error
-    handler.  The help of ``-h`` or ``--help`` is output like any other.
+    The command line is checked before its command's module loads, so no
+    command checks its own.  Every failure, a usage error included, writes
+    its stderr line and then, as the output, its JSON error object.  Stdout
+    is written once, by ``_write`` after the handler, so a failed write
+    raises the stream's own OSError past it.  Help is output like any other.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
+    args = None
     try:
         args = _parse_args(argv)
-        if type(args) is not list:
-            _check_stdin_once(args)
-    except _UsageError as exc:
-        # No parsed args on this path: the last --format before any `--`
-        # counts; after `--`, every word is a positional.
-        output_format = "json"
-        for arg, value in zip(argv, argv[1:] + [None]):
-            if arg == "--":
-                break
-            if arg.startswith("--format="):
-                output_format = arg[len("--format="):]
-            elif arg == "--format" and value is not None:
-                output_format = value
-        if output_format != "text":
-            _write({"error": {"kind": "UsageError", "message": str(exc), "span": None}})
-        _warn(f"usage error: {exc}")
-        return EX_USAGE
-    try:
         if type(args) is list:  # the help lines are the output of -h or --help
             code, output = EX_OK, args
         else:  # this module is `__main__` under `python -m sapta.cli`
+            _check_inputs(args)
             command = __import__("commands." + args.command, globals(), None, ("run",), 1)
             code, output = command.run(sys.modules[__name__], args, keep)
     # ModuleNotFoundError: numpy is missing and `scenario cat --trials` needs it.
     except (SaptaError, OSError, ValueError, ModuleNotFoundError) as exc:
+        usage = isinstance(exc, UsageError)
         span = getattr(exc, "span", None)
         where = f"{span.line}:{span.column}: " if span is not None else ""
-        _warn(f"{where}error: {exc}")
-        code, output = EX_ERROR, ({"error": _error_payload(exc)} if args.format == "json" else None)
+        _warn(f"{where}{'usage ' if usage else ''}error: {exc}")
+        output_format = "json" if args is None else args.format
+        if args is None:  # the last --format before any `--`; after it, every word is a positional
+            for arg, value in zip(argv, argv[1:] + [None]):
+                if arg == "--":
+                    break
+                if arg.startswith("--format="):
+                    output_format = arg[len("--format="):]
+                elif arg == "--format" and value is not None:
+                    output_format = value
+        code = EX_USAGE if usage else EX_ERROR
+        output = {"error": _error_payload(exc)} if output_format != "text" else None
     _write(output)
     return code
 

@@ -2,8 +2,9 @@
 
 Each module's ``run(cli, args, keep)`` returns its exit code and its output,
 the JSON object or the lines of text, and writes nothing: ``cli._run``
-writes the output.  It appends to ``keep`` what it decoded or built and
-still holds when it returns, so that the caller decides when that is freed.
+writes the output, and ``cli`` has checked the command line before the
+module loads.  It appends to ``keep`` what it decoded or built and still
+holds when it returns, so that the caller decides when that is freed.
 
 ``cli`` is the module that runs the command line (``__main__`` under
 ``python -m sapta.cli``), passed in so that no command imports it a second

@@ -7,11 +7,8 @@ from . import _load_model, _model_metadata
 
 
 def run(cli, args, keep: list) -> tuple[int, dict | list[str]]:
-    path = args.judgments_path or args.judgments
-    if path is None or (args.judgments_path and args.judgments):
-        raise SaptaError("give the judgment file either positionally or via --judgments")
     model = _load_model(cli, args.model, keep)
-    judgments = cli.judgments_from_json(cli._read_json(path, keep))
+    judgments = cli.judgments_from_json(cli._read_json(args.judgments_path or args.judgments, keep))
     keep.append(judgments)
     predicate = args.predicate
     if predicate is None:

@@ -2,13 +2,13 @@
 
 An opened box needs the first ``random()`` of
 ``numpy.random.default_rng(seed)``, which :func:`_first_draw` computes in
-pure Python; only :func:`sample_alive`, the bulk sample of a cat run with
+pure Python; only :func:`count_alive`, the bulk sample of a cat run with
 ``--trials``, imports numpy.  Only ``scenario cat --open`` and ``corpus``
 load this module.
 """
 from __future__ import annotations
 
-__all__ = ["sample_alive"]
+__all__ = ["count_alive"]
 
 # Draws per chunk when the cat scenario samples --trials outcomes.
 _CAT_CHUNK = 1 << 16
@@ -72,19 +72,18 @@ def _first_draw(seed: int) -> float:
     return (out >> 11) * 2.0**-53
 
 
-def sample_alive(seed: int, trials: int, p_alive: float) -> tuple[bool, int]:
-    """Whether the first of ``trials`` draws from ``default_rng(seed)`` finds
-    the cat alive (a draw below ``p_alive``), and how many of them do."""
+def count_alive(seed: int, trials: int, p_alive: float) -> int:
+    """How many of the first ``trials`` draws from ``default_rng(seed)``
+    find the cat alive (a draw below ``p_alive``)."""
     import numpy as np  # only the bulk sample needs numpy
 
     rng = np.random.default_rng(seed)
-    alive = bool(rng.random() < p_alive)
-    # The remaining draws come from the same stream in chunks, so memory
-    # stays constant; a sum of 0/1 counts is exact, so the frequency equals
-    # the mean over one array of all draws.
-    count, left = int(alive), trials - 1
-    while left:
-        chunk = min(left, _CAT_CHUNK)
+    # The draws come from the stream in chunks, so memory stays constant; a
+    # sum of 0/1 counts is exact, so the frequency equals the mean over one
+    # array of all draws.
+    count = 0
+    while trials:
+        chunk = min(trials, _CAT_CHUNK)
         count += int(np.count_nonzero(rng.random(chunk) < p_alive))
-        left -= chunk
-    return alive, count
+        trials -= chunk
+    return count

@@ -31,13 +31,11 @@ def scenario_cat(open_box: bool, seed: int = 0, trials: int | None = None) -> Sc
             raise ValueError(f"trials must be non-negative, got {trials}")
         if trials is not None and trials > MAX_TRIALS:
             raise ValueError(f"at most {MAX_TRIALS} trials are allowed, got {trials}")
-        from ..sampling import _first_draw, sample_alive
+        from ..sampling import _first_draw, count_alive
 
-        if not trials:
-            alive = _first_draw(seed) < _P_ALIVE
-        else:
-            alive, count = sample_alive(seed, trials, _P_ALIVE)
-            witness["alive_frequency"] = count / trials
+        if trials:  # the first of these draws is the one below
+            witness["alive_frequency"] = count_alive(seed, trials, _P_ALIVE) / trials
+        alive = _first_draw(seed) < _P_ALIVE
         witness["sampled_alive"] = 1.0 if alive else 0.0
         judgments.insert(0, Judgment("box_open", "alive", Tv3.from_bool(alive)))
     return _report("cat", "alive", "cat", judgments, witness)

@@ -5,17 +5,21 @@ written apart from `predication`.
 each of up to four contexts, under every incompatibility relation on them,
 once with the relation held as a byte map and once as a set of keys.
 Every P1-P7 verdict on three contexts has its schema evaluate to T on the
-one-entity model that mirrors its judgments.  `entails` runs on every list of
-up to three judgments over two contexts.
+one-entity model that mirrors its judgments, and every case's full instance
+formula evaluates to T there exactly when `classify` finds no inconsistency,
+so the classifier and the evaluator check each other.  `entails` runs on
+every list of up to three judgments over three contexts.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, product
 
 import pytest
 
 from sapta.evaluation import evaluate
-from sapta.predication import Entailment, Judgment, classify, entails
+from sapta.formulas import And, ContextGuard, ForAll, Iff, Implies, Not, PredicateApp
+from sapta.predication import Entailment, Judgment, PredicationTag, classify, entails
 from sapta.records import undet_name
 from sapta.schemas import schema
 from sapta.semantics import ContextDef, Model
@@ -112,14 +116,56 @@ def test_every_verdicts_schema_holds_on_the_model_that_mirrors_it():
     assert verdicts == 282
 
 
-_UNIVERSE = [Judgment(c, "p", v) for c in ("c1", "c2") for v in (T, F, U)]
+def _full_instance(judgments):
+    """The formula that holds what the judgments of `p` say: `forall x.` over
+    one guarded implication per judgment, `c(x) -> p(x)`, `c(x) -> ~p(x)` or
+    `c(x) -> p_undet(x)`, and one relational clause `~(a(x) <-> b(x))` per
+    pair of judged contexts whose sets of values differ."""
+    p = PredicateApp("p", "x")
+    consequents = {T: p, F: Not(p), U: PredicateApp(undet_name("p"), "x")}
+    values: dict[str, set] = {}
+    conjuncts = []
+    for j in judgments:
+        if j.predicate == "p":
+            values.setdefault(j.context, set()).add(j.value)
+            conjuncts.append(Implies(ContextGuard(j.context, "x"), consequents[j.value]))
+    for a, b in combinations(values, 2):
+        if values[a] != values[b]:
+            conjuncts.append(Not(Iff(ContextGuard(a, "x"), ContextGuard(b, "x"))))
+    return ForAll("x", reduce(And, conjuncts))
+
+
+def test_the_full_instance_holds_exactly_when_classify_finds_no_inconsistency():
+    # Two implementations of one claim check each other: the evaluator reads
+    # each judgment and each relational clause on the mirrored model, and
+    # `classify` reads value sets and the relation.  They must agree on
+    # every 3-context case with a judgment of `p`.
+    names = CONTEXTS[:3]
+    pairs = list(combinations(names, 2))
+    cases = 0
+    for chosen in product((False, True), repeat=len(pairs)):
+        related = [pair for pair, keep in zip(pairs, chosen) if keep]
+        for judgments in _judgment_sets(names):
+            if all(j.predicate != "p" for j in judgments):
+                continue
+            model = _mirror(names, related, judgments)
+            consistent = classify(judgments, model, "p").tag is not PredicationTag.INCONSISTENT
+            holds = evaluate(_full_instance(judgments), model, incompat_mode="relational") is T
+            assert holds is consistent, (related, judgments)
+            cases += 1
+    assert cases == 8 * (7**3 - 1)
+
+
+_UNIVERSE = [Judgment(c, "p", v) for c in ("c1", "c2", "c3") for v in (T, F, U)]
 
 
 def test_entails_follows_its_rule_on_every_list_of_up_to_three_judgments():
-    model = Model(["e"], [ContextDef("c1", {"e"}), ContextDef("c2", {"e"})], ["p"],
-                  incompatible=[("c1", "c2")], background="c1")
+    # Criterion 3, explosion blocking: no list of judgments entails a query
+    # it does not contain or contradict, whatever the other contexts say.
+    contexts = [ContextDef(c, {"e"}) for c in ("c1", "c2", "c3")]
+    model = Model(["e"], contexts, ["p"], incompatible=[("c1", "c2")], background="c1")
     lists = [list(js) for n in range(4) for js in product(_UNIVERSE, repeat=n)]
-    assert len(lists) == 1 + 6 + 36 + 216
+    assert len(lists) == 1 + 9 + 81 + 729
     for judgments in lists:
         for query in _UNIVERSE:
             if query in judgments:

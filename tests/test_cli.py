@@ -75,14 +75,12 @@ def test_classify_judgments_flag_spelling(capsys, cat_files):
     )
     assert code == EX_OK
     assert json.loads(out)["class"] == "P5"
-    # Giving both spellings is rejected.
-    code, out, _ = run_cli(
-        capsys, "classify", str(judgments), "--judgments", str(judgments), "--model", str(model)
-    )
-    assert code == EX_ERROR
-    # Giving neither is rejected.
-    code, _, _ = run_cli(capsys, "classify", "--model", str(model))
-    assert code == EX_ERROR
+    # Giving both spellings, or neither, is a usage error.
+    for argv in ([str(judgments), "--judgments", str(judgments)], []):
+        code, out, err = run_cli(capsys, "classify", *argv, "--model", str(model))
+        assert code == EX_USAGE
+        assert json.loads(out)["error"]["kind"] == "UsageError"
+        assert err == "usage error: give the judgment file either positionally or via --judgments\n"
 
 
 def test_classify_text_format_names_the_predication(capsys, cat_files):
@@ -773,6 +771,7 @@ def test_import_does_not_run_numpy(tmp_path, cat_files):
         (["scenario", "--help"], EX_OK, startup | {"sapta.helptext"}),
         (["eval", str(formulas)], EX_USAGE, startup),
         (["scenario", "cat", "--seed", "-1", "--format", "text"], EX_USAGE, startup),
+        (["classify", "j.json", "--judgments", "j.json", "--model", "m.json"], EX_USAGE, startup),
     ]:
         assert _loaded_modules("-c", code, str(exit_code), *argv) == loaded, argv
     show = "import sys, sapta.records; print(' '.join(sys.modules))"

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 from sapta import MAX_LEVELS, MAX_TRIALS, SCENARIO_NAMES
-from sapta.cli import _COMMANDS, _FORMAT, EX_OK, _parse_args, _UsageError, main
+from sapta.cli import _COMMANDS, _FORMAT, EX_OK, _parse_args, UsageError, main
 from test_cli_fuzz import FLAGS
 
 
@@ -148,7 +148,7 @@ def ours(argv):
     """The namespace's fields, "help" or "usage error"."""
     try:
         parsed = _parse_args(argv)
-    except _UsageError:
+    except UsageError:
         return "usage error"
     return "help" if type(parsed) is list else vars(parsed)
 

@@ -141,8 +141,23 @@ def test_stdout_on_a_full_device(name, env, fmt, inputs):
     assert proc.returncode == EX_ERROR
     lines = proc.stderr.decode().splitlines()
     assert lines[-1].startswith("error: cannot write output: ")
-    # Buffered, the usage error's line is written before the flush fails.
-    assert len(lines) == (2 if name == "usage" and "PYTHONUNBUFFERED" not in env else 1)
+    # A usage error's own line is written before the write that fails,
+    # buffered or not.
+    assert [line.partition(": ")[0] for line in lines[:-1]] == (["usage error"] if name == "usage" else [])
+
+
+@pytest.mark.parametrize("argv, code", [(["parse", "--bogus"], EX_USAGE), (["parse", "BAD"], EX_ERROR)],
+                         ids=["usage", "parse-error"])
+def test_an_errors_line_comes_before_its_json(tmp_path, argv, code):
+    # With unbuffered stdout and stderr joined to it, every error, a usage
+    # error included, shows its stderr line first and then its JSON object.
+    bad = tmp_path / "bad.lgc"
+    bad.write_text("p(x) &\n")
+    proc = run("2>&1", *(str(bad) if arg == "BAD" else arg for arg in argv), env=UNBUFFERED)
+    assert proc.returncode == code
+    line, _, rest = proc.stdout.decode().partition("\n")
+    error = json.loads(rest)["error"]
+    assert line.endswith("error: " + error["message"])
 
 
 @pytest.mark.skipif(not HAS_DEV_FULL, reason="needs /dev/full")

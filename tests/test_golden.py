@@ -93,6 +93,10 @@ USAGE_PINNED = {
     "usage_format_after_double_dash.json": (["corpus", "--", "--format", "text"], "c4d358850ec13a44"),
     # Standard input is read once: naming it twice is refused before reading it.
     "usage_stdin_twice.json": (["parse", "-", "-"], "c24fdebece1bb1cd"),
+    # classify's judgment file is named once, or the line is refused before
+    # any file is read: these files do not exist.
+    "usage_judgments_twice.json": (["classify", "j.json", "--judgments", "j.json", "--model", "m.json"], "835c7f3150d4e395"),
+    "usage_judgments_missing.json": (["classify", "--model", "m.json"], "835c7f3150d4e395"),
 }
 
 WITNESSES = json.loads((GOLDEN / "canonical_witnesses.json").read_text(encoding="utf-8"))
