@@ -15,11 +15,11 @@ __version__ = "0.1.0"
 _HOMES = {
     "errors": (
         "ArityMismatch", "BadCuts", "BasisMismatch", "DimensionMismatch", "DuplicateContext",
-        "ModelError", "NotASchema", "OrthogonalSelection", "ParseError", "SaptaError",
+        "ModelError", "OrthogonalSelection", "ParseError", "SaptaError",
         "UnboundVariable", "UndeclaredName",
     ),
     "certificate": ("CertificateRow", "canonical_witness", "mutual_exclusivity_certificate"),
-    "evaluation": ("check_incompatibility", "evaluate"),
+    "evaluation": ("evaluate",),
     "formulas": (
         "And", "ContextGuard", "Exists", "ForAll", "Formula", "Iff", "Implies", "Not", "Or",
         "PredicateApp", "SourceSpan", "ast_to_dict", "free_variables", "pretty",
@@ -37,7 +37,7 @@ _HOMES = {
     ),
     "records": ("undet_name",),
     "sampling": (),  # the cat scenario's draws; no public name
-    "schemas": ("guard_of", "schema"),
+    "schemas": ("schema",),
     "semantics": ("ContextDef", "Model"),
     "scenarios": (
         "CorpusResult", "ScenarioReport", "find_cat_seed", "run_corpus", "scenario_cat",

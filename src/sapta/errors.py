@@ -52,10 +52,6 @@ class UndeclaredName(SaptaError):
         self.span = span
 
 
-class NotASchema(SaptaError):
-    """The formula is not an instance of any of the seven predication schemas."""
-
-
 class ModelError(SaptaError):
     """A model definition violates its structural invariants."""
 

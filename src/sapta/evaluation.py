@@ -27,10 +27,7 @@ from .semantics import Model, _declared, _index_of
 # model stores.
 from .trivalent import _CHAIN, AND, IFF, IMPL, NOT, OR, Tv3
 
-__all__ = [
-    "evaluate",
-    "check_incompatibility",
-]
+__all__ = ["evaluate"]
 
 
 def _guard(model: Model, f: Formula) -> int | None:
@@ -174,32 +171,3 @@ class _Compiler:
             )
         column = m._column(context, pi)
         return lambda env: column[env[slot]]
-
-
-def check_incompatibility(
-    model: Model,
-    c1: str,
-    c2: str,
-    mode: str = "relational",
-    *,
-    quantifier: str = "exists",
-) -> Tv3:
-    """Decide whether two contexts are mutually incompatible.
-
-    Relational mode reads the model's declared relation.  Extensional mode
-    evaluates the clause ``~(c1(x) <-> c2(x))`` from the guard extensions,
-    quantified by ``quantifier``: under ``"exists"`` (default) the contexts
-    are incompatible when at least one entity distinguishes them; under
-    ``"forall"`` every entity must distinguish them.
-    """
-    for c in (c1, c2):
-        _declared(model._context_index, c, "context")
-    if mode == "relational":
-        return Tv3.from_bool(model.incompatible(c1, c2))
-    if mode != "extensional":
-        raise ValueError(f"mode must be 'relational' or 'extensional', got {mode!r}")
-    if quantifier not in ("exists", "forall"):
-        raise ValueError(f"quantifier must be 'exists' or 'forall', got {quantifier!r}")
-    clause = Not(Iff(ContextGuard(c1, "x"), ContextGuard(c2, "x")))
-    quantified = Exists("x", clause) if quantifier == "exists" else ForAll("x", clause)
-    return evaluate(quantified, model, incompat_mode="extensional")

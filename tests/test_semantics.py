@@ -1,12 +1,11 @@
-"""Models, three-valued evaluation, incompatibility, schema destructuring."""
+"""Models, three-valued evaluation and incompatibility."""
 import itertools
 import json
-import re
 
 import pytest
 
-from sapta.errors import ModelError, NotASchema, UnboundVariable, UndeclaredName
-from sapta.evaluation import check_incompatibility, evaluate
+from sapta.errors import ModelError, UnboundVariable, UndeclaredName
+from sapta.evaluation import evaluate
 from sapta.formulas import (
     And,
     ContextGuard,
@@ -19,8 +18,7 @@ from sapta.formulas import (
     PredicateApp,
 )
 from sapta.parser import parse
-from sapta.records import undet_name
-from sapta.schemas import guard_of, schema
+from sapta.schemas import schema
 from sapta.semantics import ContextDef, Model
 from sapta.trivalent import Tv3
 from sapta.trivalent import conj3, disj3, iff3, impl3, neg3
@@ -81,8 +79,6 @@ def test_unhashable_names_are_undeclared():
         m.extension(["c1"])
     with pytest.raises(UndeclaredName, match=r"undeclared context \['c2'\]"):
         m.incompatible("c1", ["c2"])
-    with pytest.raises(UndeclaredName, match=r"undeclared context \['c2'\]"):
-        check_incompatibility(m, "c1", ["c2"], "extensional")
     with pytest.raises(UndeclaredName, match=r"undeclared entity \['a'\]"):
         evaluate(PredicateApp("p", "x"), m, {"x": ["a"]})
 
@@ -527,36 +523,7 @@ def test_classical_embedding_three_entities():
                     assert got is Tv3.from_bool(classical_eval(f, m, {}, None))
 
 
-# -- check_incompatibility ----------------------------------------------------
-
-
-def test_check_incompatibility_modes():
-    m = Model(
-        domain=["a", "b"],
-        contexts=[
-            ContextDef("same1", {"a"}),
-            ContextDef("same2", {"a"}),
-            ContextDef("left", {"a"}),
-            ContextDef("right", {"b"}),
-        ],
-        predicates=["p"],
-        incompatible=[("same1", "same2")],
-        background="same1",
-    )
-    assert check_incompatibility(m, "same1", "same2", "extensional") is F
-    assert check_incompatibility(m, "left", "right", "extensional") is T
-    assert check_incompatibility(m, "same1", "same2", "relational") is T
-    assert check_incompatibility(m, "left", "right", "relational") is F
-    # Quantifier flag: every entity distinguishes left/right, but not
-    # left/same1 (entity b is in neither).
-    assert check_incompatibility(m, "left", "right", "extensional", quantifier="forall") is T
-    assert check_incompatibility(m, "left", "same2", "extensional", quantifier="forall") is F
-    with pytest.raises(UndeclaredName):
-        check_incompatibility(m, "left", "zz")
-    with pytest.raises(ValueError, match="mode must be 'relational' or 'extensional', got 'dense'"):
-        check_incompatibility(m, "left", "right", "dense")
-    with pytest.raises(ValueError, match="quantifier must be 'exists' or 'forall', got 'most'"):
-        check_incompatibility(m, "left", "right", "extensional", quantifier="most")
+# -- extensional incompatibility clause -------------------------------------
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -565,77 +532,11 @@ def test_extensional_incompatibility_against_extension_oracle(n):
     # the contexts when it lies in exactly one of the two extensions.
     domain = [f"e{i}" for i in range(n)]
     subsets = [frozenset(s) for r in range(n + 1) for s in itertools.combinations(domain, r)]
+    clause = Not(Iff(ContextGuard("c1", "x"), ContextGuard("c2", "x")))
     for ext1, ext2 in itertools.product(subsets, repeat=2):
         m = Model(domain, [ContextDef("c1", ext1), ContextDef("c2", ext2)], [], background="c1")
         differs = [(e in ext1) != (e in ext2) for e in domain]
-        for quantifier, oracle in (("exists", any), ("forall", all)):
-            got = check_incompatibility(m, "c1", "c2", "extensional", quantifier=quantifier)
+        for quantifier, oracle in ((Exists, any), (ForAll, all)):
+            got = evaluate(quantifier("x", clause), m, incompat_mode="extensional")
             assert got is Tv3.from_bool(oracle(differs)), (ext1, ext2, quantifier)
 
-
-# -- guard_of ------------------------------------------------------------------
-
-
-def test_guard_of_extracts_pairs():
-    f5 = schema(5, ["c1", "c2"], "p")
-    pairs = guard_of(f5)
-    assert pairs == [
-        ("c1", PredicateApp("p", "x")),
-        ("c2", PredicateApp(undet_name("p"), "x")),
-    ]
-    f2 = schema(2, ["c"], "p")
-    assert guard_of(f2) == [("c", Not(PredicateApp("p", "x")))]
-
-
-def test_guard_of_rejects_non_schemas():
-    with pytest.raises(NotASchema):
-        guard_of(Or(PredicateApp("p", "x"), PredicateApp("p", "x")))
-    with pytest.raises(NotASchema):
-        # Quantifier does not scope over the whole conjunction.
-        guard_of(parse("(forall x. (c1(x) -> p(x))) & (c2(x) -> q(x))"))
-    with pytest.raises(NotASchema):
-        # Missing incompatibility clause for the second guard pair.
-        g1, g2 = ContextGuard("c1", "x"), ContextGuard("c2", "x")
-        p = PredicateApp("p", "x")
-        guard_of(ForAll("x", And(Implies(g1, p), Implies(g2, Not(p)))))
-    with pytest.raises(NotASchema):
-        guard_of(parse("forall x. (c(x) -> p(x) & q(x))", contexts={"c"}))
-
-
-@pytest.mark.parametrize("text, message", [
-    ("forall x. ((c1(x) & c2(x)) -> p(x))", "implication antecedent is not a guard atom"),
-    ("forall x. ((c1(x) -> p(x)) & ~(c1(x) <-> c1(x)))",
-     "incompatibility clause must relate two distinct guard atoms"),
-    ("forall x. ((c1(x) -> p(x)) & p(x))", "unexpected conjunct: PredicateApp"),
-    ("forall x. ((c1(x) -> p(x)) & (c2(x) -> p(x)) & (c3(x) -> p(x)) & (c4(x) -> p(x)))",
-     "schemas carry 1..3 guarded implications, found 4"),
-    ("forall x. ((c1(x) -> p(x)) & (c1(x) -> ~p(x)))", "guard contexts must be distinct"),
-])
-def test_guard_of_names_what_is_malformed(text, message):
-    with pytest.raises(NotASchema, match=re.escape(message)):
-        guard_of(parse(text))
-
-
-def test_guard_of_accepts_parsed_schema_instances():
-    text = "forall x. ((w1(x) -> r(x)) & (w2(x) -> ~r(x)) & ~(w1(x) <-> w2(x)))"
-    pairs = guard_of(parse(text))
-    assert [c for c, _ in pairs] == ["w1", "w2"]
-
-
-def test_guard_of_takes_three_guards_in_textual_order():
-    pairs = guard_of(schema(7, ["a", "b", "c"], "p"))
-    assert pairs == [
-        ("a", PredicateApp("p", "x")),
-        ("b", Not(PredicateApp("p", "x"))),
-        ("c", PredicateApp(undet_name("p"), "x")),
-    ]
-
-
-@pytest.mark.parametrize("clauses", [
-    "~(c1(x) <-> c2(x)) & ~(c2(x) <-> c3(x)) & ~(c1(x) <-> c4(x))",
-    "~(c1(x) <-> c2(x)) & ~(c2(x) <-> c3(x)) & ~(c2(x) <-> c1(x))",
-])
-def test_guard_of_rejects_the_right_count_of_wrong_clauses(clauses):
-    text = f"forall x. ((c1(x) -> p(x)) & (c2(x) -> ~p(x)) & (c3(x) -> q(x)) & {clauses})"
-    with pytest.raises(NotASchema, match="pairwise incompatibility clauses do not match"):
-        guard_of(parse(text))
