@@ -86,3 +86,32 @@ def test_schema_round_trips_through_concrete_syntax():
     for k, names in [(1, ["c1"]), (4, ["c1", "c2"]), (7, ["c1", "c2", "c3"])]:
         f = schema(k, names, "p")
         assert parse(pretty(f), contexts=names) == f
+
+
+# Each schema written out by hand, over contexts w1..w3 and predicate r.
+_SCHEMA_TEXTS = {
+    1: "forall x. (w1(x) -> r(x))",
+    2: "forall x. (w1(x) -> ~r(x))",
+    3: "forall x. (w1(x) -> r_undet(x))",
+    4: "forall x. ((w1(x) -> r(x)) & (w2(x) -> ~r(x)) & ~(w1(x) <-> w2(x)))",
+    5: "forall x. ((w1(x) -> r(x)) & (w2(x) -> r_undet(x)) & ~(w1(x) <-> w2(x)))",
+    6: "forall x. ((w1(x) -> ~r(x)) & (w2(x) -> r_undet(x)) & ~(w1(x) <-> w2(x)))",
+    7: "forall x. ((w1(x) -> r(x)) & (w2(x) -> ~r(x)) & (w3(x) -> r_undet(x))"
+       " & ~(w1(x) <-> w2(x)) & ~(w2(x) <-> w3(x)) & ~(w1(x) <-> w3(x)))",
+}
+
+
+@pytest.mark.parametrize("k", sorted(_SCHEMA_TEXTS))
+def test_schema_is_its_text_written_out(k):
+    text = _SCHEMA_TEXTS[k]
+    names = ["w1", "w2", "w3"][: text.count(" -> ")]
+    assert schema(k, names, "r") == parse(text, contexts=names)
+
+
+def test_schema_guards_follow_the_given_context_order():
+    f = schema(7, ["b", "c", "a"], "p")
+    assert pretty(f) == (
+        "forall x. ((b(x) -> p(x)) & (c(x) -> ~p(x)) & (a(x) -> p_undet(x))"
+        " & ~(b(x) <-> c(x)) & ~(c(x) <-> a(x)) & ~(b(x) <-> a(x)))"
+    )
+    assert f != schema(7, ["a", "b", "c"], "p")

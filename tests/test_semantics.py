@@ -523,7 +523,40 @@ def test_classical_embedding_three_entities():
                     assert got is Tv3.from_bool(classical_eval(f, m, {}, None))
 
 
-# -- extensional incompatibility clause -------------------------------------
+# -- incompatibility clause ----------------------------------------------------
+
+
+def test_incompatibility_clause_under_each_quantifier_and_mode():
+    m = Model(
+        domain=["a", "b"],
+        contexts=[
+            ContextDef("same1", {"a"}),
+            ContextDef("same2", {"a"}),
+            ContextDef("left", {"a"}),
+            ContextDef("right", {"b"}),
+        ],
+        predicates=["p"],
+        incompatible=[("same1", "same2")],
+        background="same1",
+    )
+
+    def clause(c1, c2, quantifier=Exists):
+        return quantifier("x", Not(Iff(ContextGuard(c1, "x"), ContextGuard(c2, "x"))))
+
+    assert evaluate(clause("same1", "same2"), m, incompat_mode="extensional") is F
+    assert evaluate(clause("left", "right"), m, incompat_mode="extensional") is T
+    assert evaluate(clause("same1", "same2"), m) is T  # relational is the default
+    assert evaluate(clause("same2", "same1"), m, incompat_mode="relational") is T
+    assert evaluate(clause("left", "right"), m, incompat_mode="relational") is F
+    # Under forall: every entity distinguishes left/right, but not
+    # left/same2 (entity b is in neither).
+    assert evaluate(clause("left", "right", ForAll), m, incompat_mode="extensional") is T
+    assert evaluate(clause("left", "same2", ForAll), m, incompat_mode="extensional") is F
+    for mode in ("relational", "extensional"):
+        with pytest.raises(UndeclaredName, match="undeclared context 'zz'"):
+            evaluate(clause("left", "zz"), m, incompat_mode=mode)
+    with pytest.raises(ValueError, match="incompat_mode must be 'relational' or 'extensional', got 'dense'"):
+        evaluate(clause("left", "right"), m, incompat_mode="dense")
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
