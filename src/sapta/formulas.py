@@ -142,15 +142,6 @@ OPERATORS = (
 )
 
 
-def atom_name(f: Formula) -> str | None:
-    """Name of a unary atom, or None for non-atoms."""
-    if isinstance(f, PredicateApp):
-        return f.name
-    if isinstance(f, ContextGuard):
-        return f.context
-    return None
-
-
 def free_variables(f: Formula) -> frozenset[str]:
     """Variables occurring outside the scope of any quantifier binding them."""
     return frozenset(_free_atoms(f))
@@ -219,8 +210,10 @@ def pretty(f: Formula) -> str:
 
 
 def _render(f: Formula, min_level: int, allow_open: bool) -> str:
-    if isinstance(f, _Atom):
-        return f"{atom_name(f)}({f.var})"
+    if isinstance(f, PredicateApp):
+        return f"{f.name}({f.var})"
+    if isinstance(f, ContextGuard):
+        return f"{f.context}({f.var})"
     if isinstance(f, Not):
         return _PREFIX[Not] + _render(f.operand, _UNARY_LEVEL, allow_open)
     if isinstance(f, _Quantifier):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import ModelError
-from .semantics import ContextDef
+from .semantics import ContextDef, _index_of
 from .trivalent import Tv3
 
 if TYPE_CHECKING:
@@ -48,6 +48,7 @@ def judgment_from_json(cls: type[Judgment], data: dict) -> Judgment:
     try:
         judgment = cls(data["context"], data["predicate"], Tv3.from_str(data["value"]))
     except (KeyError, TypeError, ValueError) as exc:
+        _object(data, "a judgment", "context", "predicate", "value")
         raise ModelError(f"malformed judgment {data!r}: {exc}") from None
     if not (isinstance(judgment.context, str) and isinstance(judgment.predicate, str)):
         raise ModelError(f"malformed judgment {data!r}: context and predicate must be strings")
@@ -64,18 +65,16 @@ def _raise_row_fault(model: Model, rows: list) -> None:
     """Raise the ModelError for the first valuation row that is malformed
     or names an undeclared context, entity or predicate."""
     for row in rows:
+        _object(row, "every valuation row", "context", "entity", "predicate", "value")
         try:
-            key = (row["context"], row["entity"], row["predicate"])
             Tv3.from_str(row["value"])
-            hash(key)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ModelError(f"malformed valuation row {row!r}: {exc}") from None
-        for name, kind, index in zip(
-            key,
-            ("context", "entity", "predicate"),
-            (model._context_index, model._entity_index, model._predicate_index),
-        ):
-            if name not in index:
+        for kind, index in (("context", model._context_index), ("entity", model._entity_index),
+                            ("predicate", model._predicate_index)):
+            name = row[kind]
+            if _index_of(index, name) is None:
+                _name(name, f"a valuation row's {kind}")
                 raise ModelError(f"valuation names undeclared {kind} {name!r}")
 
 

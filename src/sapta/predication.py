@@ -137,9 +137,9 @@ def classify(judgments: Iterable[Judgment], model: Model, predicate: str) -> Pre
     # of the other values.  On a set relation every lookup that passes uses up
     # a declared pair, each pair at most twice, so the scan costs
     # O(J log J + |relation|) for J judged contexts; on a byte-map relation a
-    # check is one AND of the context's row of K bytes with a mask of the
-    # other values' contexts, O(J·K), which its K·K <= 64·|relation| bounds
-    # by O(|relation|) too.
+    # check is one AND of the context's row, one K-byte slice of the
+    # symmetric map, with a mask of the other values' contexts, O(J·K),
+    # which its K·K <= 64·|relation| bounds by O(|relation|) too.
     names = sorted(by_context)
     groups: dict[Tv3, list[str]] = {}  # value -> the contexts asserting it, in name order
     for c in names:

@@ -71,13 +71,13 @@ class Model:
     N rank codes of that column, indexed by entity.  Only columns some row
     lists are stored; every other column reads one shared all-U column, so
     memory grows with the listed rows, not with the N·K·P cells declared.
-    Extensions are sets of entity indices.  The incompatibility relation
-    keys the pair of context indices i < j as ``i * K + j``.  A dense
+    Extensions are sets of entity indices.  A dense incompatibility
     relation, one whose K·K is at most 64 times the number of declared
-    entries, is a K·K byte map holding 1 at each pair's key: at most 64
+    entries, is a symmetric K·K byte map holding 1 at ``i * K + j`` and
+    ``j * K + i`` for each pair, so a context's row is one slice: at most 64
     bytes an entry, where a set takes 81 to 98.  Any other relation is a set
-    of the keys, so a model that declares many contexts and few pairs
-    allocates nothing quadratic.
+    of one key ``i * K + j``, i < j, a pair, so a model that declares many
+    contexts and few pairs allocates nothing quadratic.
     """
 
     def __init__(
@@ -167,6 +167,9 @@ class Model:
                 relation[key] = 1
             else:
                 add(key)
+        if add is None:  # mirror: row i left of the diagonal is column i above it
+            for i in range(k):
+                relation[offsets[i]:offsets[i] + i] = relation[i:offsets[i]:k]
         self._relation: bytes | set[int] = bytes(relation) if add is None else relation
 
         # Each row is coded straight into its column; which check a row fails
@@ -222,37 +225,28 @@ class Model:
         Every context is compatible with itself.
         """
         i, j = (_declared(self._context_index, c, "context") for c in (c1, c2))
-        return i != j and self._incompatible_with_each([j])(i)
+        return self._incompatible_with_each([j])(i)
 
     def _incompatible_with_each(self, others: list[int]):
         """A test of whether the context at an index is incompatible with
-        every context at the indices ``others``, which do not include it.
+        every context at the indices ``others``; none is with itself.
 
         On a byte map, one index is tested by reading its pair's byte; more
         become one K-byte mask holding 1 at each, and a context passes when
-        its row of the map, read as an int, has every mask bit set: one AND
-        of K bytes a test.  On a set, the test looks up the key of each pair.
+        its row, one slice of the map read as an int, has every mask bit set:
+        one AND of K bytes a test.  On a set, the test looks up each pair's key.
         """
         relation, k = self._relation, len(self.contexts)
         if relation.__class__ is bytes:
             if len(others) == 1:
                 b = others[0]
-                return lambda a: relation[a * k + b if a < b else b * k + a] == 1
+                return lambda a: relation[a * k + b] == 1
             marks = bytearray(k)
             for b in others:
                 marks[b] = 1
             mask = int.from_bytes(marks, "little")
-
-            def test(a: int) -> bool:
-                # Row a: the keys b * K + a of the contexts b < a, a zero for
-                # a itself, then the keys a * K + b of the contexts b > a.
-                row = relation[a:a * k:k] + b"\0" + relation[a * k + a + 1:(a + 1) * k]
-                return int.from_bytes(row, "little") & mask == mask
-        else:
-            def test(a: int) -> bool:
-                ak = a * k
-                return relation.issuperset([ak + b if a < b else b * k + a for b in others])
-        return test
+            return lambda a: int.from_bytes(relation[a * k:(a + 1) * k], "little") & mask == mask
+        return lambda a: relation.issuperset([a * k + b if a < b else b * k + a for b in others])
 
     # -- serialization --------------------------------------------------------
 
@@ -294,6 +288,7 @@ class Model:
             "predicates": list(self.predicates),
             "valuation": valuation,
             "incompatible": sorted(
-                sorted((names[key // k], names[key % k])) for key in keys
+                # The keys above the diagonal: each pair once.
+                sorted((names[key // k], names[key % k])) for key in keys if key // k < key % k
             ),
         }

@@ -8,7 +8,7 @@ import copy
 import json
 import tracemalloc
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, product
 
 import hypothesis.strategies as st
 import pytest
@@ -146,15 +146,13 @@ FAULTS = [
      "malformed valuation row {'context': 'c0', 'entity': 'e1', 'predicate': 'p0', 'value': None}: "
      "not a truth value: None (expected 'T', 'F' or 'U')"),
     ("valuation", {"context": "c0", "entity": "e1", "value": "T"},
-     "malformed valuation row {'context': 'c0', 'entity': 'e1', 'value': 'T'}: 'predicate'"),
-    ("valuation", ["c0", "e1", "p0", "T"],
-     "malformed valuation row ['c0', 'e1', 'p0', 'T']: "
-     "list indices must be integers or slices, not str"),
-    ("valuation", _row(entity=["e1"]),
-     "malformed valuation row {'context': 'c0', 'entity': ['e1'], 'predicate': 'p0', 'value': 'U'}: "
-     "unhashable type: 'list'"),
+     "every valuation row must have a 'predicate' key"),
+    ("valuation", ["c0", "e1", "p0", "T"], "every valuation row must be a JSON object, got list"),
+    ("valuation", None, "every valuation row must be a JSON object, got NoneType"),
+    ("valuation", "c0 e1 p0 T", "every valuation row must be a JSON object, got str"),
+    ("valuation", _row(entity=["e1"]), "a valuation row's entity must be a string, got ['e1']"),
     ("valuation", _row(context="zz"), "valuation names undeclared context 'zz'"),
-    ("valuation", _row(context=7), "valuation names undeclared context 7"),
+    ("valuation", _row(context=7), "a valuation row's context must be a string, got 7"),
     ("valuation", _row(entity="zz"), "valuation names undeclared entity 'zz'"),
     ("valuation", _row(predicate="c1"), "valuation names undeclared predicate 'c1'"),
     ("contexts", {"name": "{0}", "extension": "e0"}, "the extension of '{0}' must be an array, got str"),
@@ -310,6 +308,27 @@ def test_both_relation_stores_match_a_set_of_pairs(drawn):
         result = classify(judgments, model, predicate)
         assert [result.tag.value, list(result.contexts_used)] == list(
             classify_oracle(judgments, related, predicate))
+
+
+@pytest.mark.parametrize("padding", [0, 40], ids=["byte map", "set"])
+def test_a_pair_listed_twice_in_both_orders_is_the_pair_listed_once(padding):
+    names = ["a", "b", "c"] + [f"x{i}" for i in range(padding)]
+
+    def model(pairs):
+        return Model.from_json({"domain": ["e"], "background": "a", "predicates": ["p"],
+                                "contexts": [{"name": c} for c in names], "incompatible": pairs})
+
+    once = model([["a", "b"], ["b", "c"]])
+    twice = model([["a", "b"], ["b", "c"], ["b", "a"], ["a", "b"]])
+    assert (twice._relation.__class__ is bytes) is (padding == 0)
+    assert twice.to_json() == once.to_json()
+    assert twice.to_json()["incompatible"] == [["a", "b"], ["b", "c"]]
+    for x, y in product("abc", repeat=2):
+        related = {x, y} in ({"a", "b"}, {"b", "c"})
+        assert twice.incompatible(x, y) == once.incompatible(x, y) == related
+    for values in product(Tv3, repeat=3):
+        judgments = [Judgment(c, "p", v) for c, v in zip("abc", values)]
+        assert classify(judgments, twice, "p") == classify(judgments, once, "p")
 
 
 def _traced_build(data):

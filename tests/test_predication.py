@@ -383,6 +383,15 @@ def test_judgment_json_malformed():
         judgments_from_json([{"context": "c1", "predicate": "p", "value": "X"}])
 
 
+@pytest.mark.parametrize("key", ["context", "predicate", "value"])
+def test_judgment_without_a_key_names_it(key):
+    row = {"context": "c1", "predicate": "p", "value": "T"}
+    del row[key]
+    with pytest.raises(ModelError) as info:
+        judgments_from_json([row])
+    assert str(info.value) == f"a judgment must have a {key!r} key"
+
+
 @pytest.mark.parametrize("row, kind", [("c1", "str"), (["c1", "p", "T"], "list"), (None, "NoneType")])
 def test_judgment_that_is_not_an_object(row, kind):
     with pytest.raises(ModelError) as info:
