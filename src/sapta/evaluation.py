@@ -22,7 +22,7 @@ from .formulas import (
     PredicateApp,
     free_variables,
 )
-from .semantics import Model, _declared, _index_of
+from .semantics import _U, Model, _declared, _index_of
 # The compiled connectives read trivalent's tables, over the rank codes the
 # model stores.
 from .trivalent import _CHAIN, AND, IFF, IMPL, NOT, OR, Tv3
@@ -169,5 +169,5 @@ class _Compiler:
                 f"predicate {f.name!r} used outside any guard and the model declares no background context",
                 f.span,
             )
-        column = m._column(context, pi)
-        return lambda env: column[env[slot]]
+        read, u = m._column(context, pi).get, _U
+        return lambda env: read(env[slot], u)

@@ -58,9 +58,11 @@ _LONG = "|".join(re.escape(text) for text in _SYMBOLS if len(text) > 1)
 _CHARS = re.escape("".join(text for text in _SYMBOLS if len(text) == 1))
 _KIND[""] = "eof"  # the empty word ends every token list
 
-# One match per lexeme: an identifier or operator, or a comment.  Whitespace
-# and unexpected characters lie between matches.
-_WORD = re.compile(rf"{_IDENT}|{_LONG}|[{_CHARS}]|#[^\n]*")
+# One match per lexeme: an identifier or operator, or a comment, which ends
+# at the line's end.  Whitespace and unexpected characters lie between matches.
+_WORD = re.compile(rf"{_IDENT}|{_LONG}|[{_CHARS}]|#[^\r\n]*")
+# A line ends at CR LF, CR or LF.
+_LINE_END = re.compile(r"(\r\n?|\n)")
 
 _DESCRIPTION = {
     **{kind: f"'{plain}'" for kind, _, plain, _, _ in OPERATORS},
@@ -151,10 +153,9 @@ def _token_list(text: str, line: int, column: int, offset: int) -> list[Token]:
     for start, end in [*map(re.Match.span, _WORD.finditer(text)), (len(text), len(text))]:
         bad = text[i:start].lstrip()[:1]
         j = text.index(bad, i) if bad else start  # the end of the whitespace
-        newline = text.rfind("\n", i, j)
-        if newline >= 0:
-            ln += text.count("\n", i, j)
-            origin = newline
+        for line_end in _LINE_END.finditer(text, i, j):
+            ln += 1
+            origin = line_end.end() - 1
         if bad:
             raise ParseError(
                 f"unexpected character {bad!r}",
@@ -346,7 +347,7 @@ def parse_formula_file(
     entries: list[NamedFormula] = []
     byte_base = 0
     if "\r" in text:  # each line, then the ending the split keeps
-        parts = re.split(r"(\r\n?|\n)", text)
+        parts = _LINE_END.split(text)
         lines = zip(parts[::2], [*parts[1::2], ""])
     else:  # the common case: `str.split` takes an eighth of the time
         lines = zip(text.split("\n"), repeat("\n"))

@@ -40,9 +40,8 @@ class ContextDef(Record):
         object.__setattr__(self, "extension", frozenset(extension))
 
 
-# The code of a valuation cell no row has listed yet; such cells become U.
-_UNLISTED = len(_CHAIN)
-_U_BYTE = bytes([_RANK[Tv3.UNDET]])
+# The code of a cell no valuation row lists.
+_U = _RANK[Tv3.UNDET]
 _CODE_OF_TEXT = {v.value: rank for v, rank in _RANK.items()}
 
 
@@ -67,10 +66,10 @@ class Model:
     """Immutable finite structure formulas are evaluated against.
 
     Names are resolved to indices once, on construction.  The valuation is
-    kept per (context, predicate) column: a dict from ``ci * P + pi`` to the
-    N rank codes of that column, indexed by entity.  Only columns some row
-    lists are stored; every other column reads one shared all-U column, so
-    memory grows with the listed rows, not with the N·K·P cells declared.
+    kept per (context, predicate) column: a dict from ``ci * P + pi`` to a
+    dict from entity index to the rank code some row lists for that cell.
+    A cell no row lists reads U, so memory grows with the listed rows, not
+    with the N·K·P cells declared.
     Extensions are sets of entity indices.  A dense incompatibility
     relation, one whose K·K is at most 64 times the number of declared
     entries, is a symmetric K·K byte map holding 1 at ``i * K + j`` and
@@ -174,9 +173,8 @@ class Model:
 
         # Each row is coded straight into its column; which check a row fails
         # is worked out only once one has.
-        n, p = len(self.domain), len(self.predicates)
-        blank = bytearray([_UNLISTED]) * n
-        columns = defaultdict(blank.copy)
+        p = len(self.predicates)
+        columns = defaultdict(dict)
         entities_at, predicates_at, codes = self._entity_index, self._predicate_index, _CODE_OF_TEXT
         try:
             for row in rows:
@@ -188,21 +186,16 @@ class Model:
 
             _raise_row_fault(self, rows)
             raise
-        # Unlisted cells read U.  Each column is translated in place of its
-        # original, so no more than one column is ever held twice.  How many
-        # declared cells no row listed is output metadata.
-        listed = 0
-        for key in columns:
-            column = columns[key]
-            listed += n - column.count(_UNLISTED)
-            columns[key] = column.replace(bytes([_UNLISTED]), _U_BYTE)
-        self.defaulted_valuations = k * p * n - listed
+        # A repeated row overwrites its cell's key, so the columns' sizes sum
+        # to the distinct listed cells.  How many declared cells no row
+        # listed is output metadata.
+        self.defaulted_valuations = k * p * len(self.domain) - sum(map(len, columns.values()))
         self._columns = dict(columns)
-        self._undetermined = _U_BYTE * n
 
-    def _column(self, ci: int, pi: int) -> bytes:
-        """The rank codes of the (context, predicate) column, by entity."""
-        return self._columns.get(ci * len(self.predicates) + pi, self._undetermined)
+    def _column(self, ci: int, pi: int) -> dict[int, int]:
+        """The rank codes of the (context, predicate) column's listed cells,
+        by entity; an entity it lacks reads U."""
+        return self._columns.get(ci * len(self.predicates) + pi, {})
 
     # -- lookups ------------------------------------------------------------
 
@@ -217,7 +210,7 @@ class Model:
         ci = _declared(self._context_index, context, "context")
         ei = _declared(self._entity_index, entity, "entity")
         pi = _declared(self._predicate_index, predicate, "predicate")
-        return _CHAIN[self._column(ci, pi)[ei]]
+        return _CHAIN[self._column(ci, pi).get(ei, _U)]
 
     def incompatible(self, c1: str, c2: str) -> bool:
         """Whether the unordered context pair is marked mutually incompatible.
@@ -272,7 +265,7 @@ class Model:
         for c, ci in sorted(self._context_index.items()):
             for e, ei in entities:
                 for p, pi in predicates:
-                    code = self._column(ci, pi)[ei]
+                    code = self._column(ci, pi).get(ei, _U)
                     valuation.append(
                         {"context": c, "entity": e, "predicate": p, "value": _CHAIN[code].value}
                     )

@@ -1,10 +1,11 @@
 """The lexer against the one it replaced, kept here as an oracle.
 
 The oracle matched one lexeme per `findall` item with five capture groups:
-the whitespace before it (newlines excepted), then an identifier or
-operator, a newline, a comment, an unexpected character, or the end of the
-text.  `tokenize` must give the same words, the same tokens with their kinds
-and spans, and the same error for an unexpected character.
+the whitespace before it (line ends excepted), then an identifier or
+operator, a line end (CR LF, CR or LF), a comment, an unexpected character,
+or the end of the text.  `tokenize` must give the same words, the same
+tokens with their kinds and spans, and the same error for an unexpected
+character.
 """
 import re
 from itertools import accumulate
@@ -24,7 +25,7 @@ _SYMBOLS = sorted((text for text in _KIND if not text.isidentifier()), key=len, 
 _LONG = "|".join(re.escape(text) for text in _SYMBOLS if len(text) > 1)
 _CHARS = re.escape("".join(text for text in _SYMBOLS if len(text) == 1))
 _LEXEME = re.compile(
-    rf"([^\S\n]*)(?:([A-Za-z_][A-Za-z0-9_]*|{_LONG}|[{_CHARS}])|(\n)|(#[^\n]*)|(\S)|\Z)"
+    rf"([^\S\r\n]*)(?:([A-Za-z_][A-Za-z0-9_]*|{_LONG}|[{_CHARS}])|(\r\n?|\n)|(#[^\r\n]*)|(\S)|\Z)"
 )
 
 
@@ -40,8 +41,8 @@ def _oracle_tokens(text: str, line: int, column: int, offset: int) -> list[Token
             i = j
         elif newline:
             ln += 1
-            origin = i
-            i += 1
+            i += len(newline)
+            origin = i - 1
         elif comment:
             i += len(comment)
         elif bad:

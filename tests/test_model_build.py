@@ -445,7 +445,7 @@ def test_rowless_model_memory_follows_the_file_not_the_declared_cells():
 
 def test_building_columns_holds_no_second_copy_of_them():
     # N = 20,000 entities; one row in each of the K x P = 2,000 columns, so
-    # the columns take 40 MB and the file about 334 KB.
+    # the file takes about 334 KB and N bytes a listed column would take 40 MB.
     n, k, p = 20_000, 50, 40
     data = json.loads(json.dumps({
         "domain": [f"e{i}" for i in range(n)],
@@ -458,5 +458,74 @@ def test_building_columns_holds_no_second_copy_of_them():
     model, retained, peak = _traced_build(data)
     assert model.defaulted_valuations == n * k * p - k * p
     assert model.value("c49", "e1999", "p39") is Tv3.TRUE  # "TFU"[39 % 3]
-    assert retained > n * k * p
+    assert retained <= 2_000_000
     assert peak <= 1.1 * retained
+
+
+def _shaped_model(shape, size):
+    """The JSON text of a model of one shape; `size` scales its growing axis."""
+    if shape == "dense":  # every cell listed
+        n, k, p = 50 * size, 4, 4
+        cells = [(c, e, q) for c in range(k) for e in range(n) for q in range(p)]
+    elif shape == "sparse":  # one row in each column of a large domain
+        n, k, p = 5000 * size, 20, 20
+        cells = [(c, c * p + q, q) for c in range(k) for q in range(p)]
+    elif shape == "rowless":
+        n, k, p = 2000 * size, 50, 50
+        cells = []
+    elif shape == "many_contexts":  # one row a context
+        n, k, p = 10, 1000 * size, 2
+        cells = [(c, c % n, 0) for c in range(k)]
+    else:  # many predicates, one row each
+        n, k, p = 10, 2, 1000 * size
+        cells = [(0, q % n, q) for q in range(p)]
+    return json.dumps({
+        "domain": [f"e{i}" for i in range(n)],
+        "background": "c0",
+        "contexts": [{"name": f"c{i}"} for i in range(k)],
+        "predicates": [f"p{i}" for i in range(p)],
+        "valuation": [{"context": f"c{c}", "entity": f"e{e}", "predicate": f"p{q}",
+                       "value": "TFU"[(c + e + q) % 3]} for c, e, q in cells],
+    })
+
+
+@pytest.mark.parametrize("size", [1, 4])
+@pytest.mark.parametrize("shape", ["dense", "sparse", "rowless", "many_contexts", "many_predicates"])
+def test_a_model_retains_at_most_ten_times_its_file(shape, size):
+    text = _shaped_model(shape, size)
+    _, retained, _ = _traced_build(json.loads(text))
+    assert retained <= 10 * len(text.encode()) + 65_536
+
+
+# (context, entity, predicate, value) rows: in each model, one cell is listed
+# twice and one is listed as U, in a column that lists every entity (dense)
+# or one that lists two of 40 (sparse).
+_REPEATS_AND_LISTED_US = {
+    "dense": (4, [("c0", "e0", "p", "T"), ("c0", "e1", "p", "U"), ("c0", "e2", "p", "F"),
+                  ("c0", "e3", "p", "T"), ("c0", "e0", "p", "F"), ("c1", "e2", "q", "T")]),
+    "sparse": (40, [("c1", "e7", "q", "T"), ("c1", "e30", "q", "U"), ("c1", "e7", "q", "F")]),
+}
+
+
+@pytest.mark.parametrize("case", _REPEATS_AND_LISTED_US)
+def test_repeated_and_listed_u_cells_read_as_a_dict_of_rows(case):
+    n, rows = _REPEATS_AND_LISTED_US[case]
+    domain = [f"e{i}" for i in range(n)]
+    data = {
+        "domain": domain,
+        "background": "c0",
+        "contexts": [{"name": c, "extension": domain} for c in ("c0", "c1")],
+        "predicates": ["p", "q"],
+        "valuation": [{"context": c, "entity": e, "predicate": p, "value": v} for c, e, p, v in rows],
+        "incompatible": [],
+    }
+    listed = {(c, e, p): v for c, e, p, v in rows}  # the last row for a cell wins
+    model = Model.from_json(copy.deepcopy(data))
+    form, defaulted = reference(data)
+    assert model.defaulted_valuations == defaulted == 2 * n * 2 - len(listed)
+    assert model.to_json() == form
+    for c, e, p in product(("c0", "c1"), domain, ("p", "q")):
+        want = Tv3.from_str(listed.get((c, e, p), "U"))
+        assert model.value(c, e, p) is want
+        # Every entity is in every context, so the guarded atom reads its cell.
+        assert evaluate(parse(f"{c}(x) -> {p}(x)"), model, {"x": e}) is want

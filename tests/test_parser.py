@@ -307,6 +307,21 @@ def test_formula_file_error_carries_file_line():
     assert exc.value.span.line == 2
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("read", [parse, parse_formula_file])
+def test_a_line_ends_at_cr_lf_cr_or_lf_in_a_formula_and_in_a_file(read, newline):
+    # A comment ends at the line's end too, so the `$` after it is read.
+    text = f"p(x)  # ¬ p{newline}{newline} $ q(x)"
+    with pytest.raises(ParseError) as exc:
+        read(text)
+    start = len(text[:text.index("$")].encode("utf-8"))
+    assert exc.value.span == (start, start + 1, 3, 2)
+    if read is parse:  # an unfinished formula goes on past the line's end
+        with pytest.raises(ParseError) as exc:
+            parse(f"p(x) &{newline}$")
+        assert exc.value.span == (6 + len(newline), 7 + len(newline), 2, 1)
+
+
 def test_formula_file_marks_contexts():
     entries = parse_formula_file("forall x. (c(x) -> p(x))\n", contexts={"c"})
     assert entries[0].formula == ForAll("x", Implies(ContextGuard("c", "x"), P("p")))
@@ -318,6 +333,7 @@ _LEXEMES = {
     "∧": "and", "∨": "or", "→": "implies", "↔": "iff", "∀": "forall", "∃": "exists",
 }
 _WORD = re.compile(r"[A-Za-z0-9_]")
+_LINE_END = re.compile(r"\r\n?|\n")
 _GAPS = st.lists(
     st.sampled_from([" ", "\t", "\n", "　", "\xa0", "\r", "# ¬ é ∀\n", "#\n"]), max_size=3
 ).map("".join)
@@ -350,14 +366,15 @@ def test_token_spans_match_the_text(case, line, column, offset):
         before = text[:at]
         assert data[tok.span.start - offset:tok.span.end - offset].decode("utf-8") == word
         assert tok.span.start == offset + len(before.encode("utf-8"))
-        assert tok.span.line == line + before.count("\n")
-        if "\n" in before:
-            assert tok.span.column == at - before.rindex("\n")
+        line_ends = _LINE_END.findall(before)
+        assert tok.span.line == line + len(line_ends)
+        if line_ends:
+            assert tok.span.column == at - max(before.rfind("\n"), before.rfind("\r"))
         else:
             assert tok.span.column == column + at
     eof = tokens[-1]
     assert eof.kind == "eof" and eof.span.start == eof.span.end == offset + len(data)
-    assert eof.span.line == line + text.count("\n")
+    assert eof.span.line == line + len(_LINE_END.findall(text))
 
 
 def _node_spans(node):
